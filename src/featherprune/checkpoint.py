@@ -84,7 +84,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for i in range(count):
         (name_len,) = struct.unpack("<I", take(4, f"record {i} name length"))
-        name = take(name_len, f"record {i} name").decode("utf-8")
+        name_offset = offset
+        raw_name = take(name_len, f"record {i} name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"record {i} name is not UTF-8: byte 0x{raw_name[exc.start]:02x} "
+                f"at offset {name_offset + exc.start}"
+            ) from None
+        rank_offset = offset
         (rank,) = struct.unpack("<I", take(4, f"record {i} rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {i} dims")) if rank else ()
         n_elems = math.prod(dims)
@@ -94,9 +103,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             dtype, itemsize = np.float32, 4
         raw = take(n_elems * itemsize, f"record {i} ({name}) data")
         if name in records:
-            raise FormatError(f"duplicate record name {name!r} (record {i})")
-        records[name] = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")) \
-            .reshape(dims).astype(dtype)
+            raise FormatError(
+                f"duplicate record name {name!r} (record {i}) at offset {name_offset}"
+            )
+        try:
+            flat = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
+            records[name] = flat.reshape(dims).astype(dtype)
+        except ValueError as exc:  # more dims than numpy supports
+            raise FormatError(
+                f"record {i} ({name}) rank {rank} at offset {rank_offset}: {exc}"
+            ) from None
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes at offset {offset}")
     return records

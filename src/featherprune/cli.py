@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -39,7 +38,7 @@ from .config import (
     config_to_text,
     resolve_config,
 )
-from .datasets import IDX_IMAGES_MAGIC, DatasetDescriptor, load_dataset
+from .datasets import IDX_IMAGES_MAGIC, DatasetDescriptor, _read_header, load_dataset
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .tensor import Tensor
 from .thresholding import apply_threshold
@@ -83,14 +82,7 @@ def _input_shape(desc: DatasetDescriptor) -> tuple:
         return (desc.dims,)
     with open(desc.images_path, "rb") as fh:
         header = fh.read(16)
-    if len(header) < 16:
-        raise FormatError(f"{desc.images_path}: truncated header, file ends at {len(header)}")
-    magic, _, rows, cols = struct.unpack(">IIII", header)
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{desc.images_path}: bad magic 0x{magic:08x} at offset 0, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
+    _, _, rows, cols = _read_header(header, 4, desc.images_path, IDX_IMAGES_MAGIC)
     return (1, rows, cols)
 
 

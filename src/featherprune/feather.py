@@ -114,7 +114,7 @@ def feather_backward(state: PruneLayerState, grad_wrt_sparse: np.ndarray) -> np.
 
     Must be called with the mask from the immediately preceding forward pass;
     active positions pass through unchanged, pruned positions are scaled by
-    theta.
+    theta. With theta = 1 the given gradient array itself is installed.
     """
     if state.mask is None:
         raise ValueError(f"layer {state.name!r} has no mask; run feather_forward first")
@@ -123,7 +123,14 @@ def feather_backward(state: PruneLayerState, grad_wrt_sparse: np.ndarray) -> np.
         raise ValueError(
             f"gradient shape {grad.shape} does not match mask shape {state.mask.shape}"
         )
-    scale = np.where(state.mask, np.float32(1.0), np.float32(state.theta))
-    dense_grad = grad * scale
+    if state.theta == 1.0:
+        dense_grad = grad
+    else:
+        # max(mask, theta) is 1 where the mask is set and theta elsewhere, as
+        # 0 <= theta <= 1; unlike np.where(mask, 1, theta) its cost does not
+        # depend on how the mask's bits are spread.
+        scale = state.mask.astype(np.float32)
+        np.maximum(scale, np.float32(state.theta), out=scale)
+        dense_grad = grad * scale
     state.weights.grad = dense_grad
     return dense_grad

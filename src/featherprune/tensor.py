@@ -71,13 +71,15 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, copy: bool = True) -> None:
+        """Add ``g`` into ``grad``. With ``copy=False`` a float32 ``g`` may
+        become ``grad`` itself; the caller vouches that nothing else holds it."""
         if g.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.astype(np.float32, copy=True)
+            self.grad = g.astype(np.float32, copy=copy)
         else:
             self.grad = self.grad + g.astype(np.float32, copy=False)
 
@@ -127,6 +129,18 @@ class Tape:
 
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float32)}
         holders: dict[int, Tensor] = {id(loss): loss}
+        # Gradients are fresh arrays except where an op passes the incoming
+        # one on (add_bias) or a view of it (reshape). Each is installed
+        # uncopied unless a grad installed earlier in this sweep has the same
+        # memory owner, so no two tensors' grads ever share memory.
+        claimed: set[int] = set()
+
+        def install(tensor: Tensor, g: np.ndarray) -> None:
+            owner = g
+            while isinstance(owner, np.ndarray) and owner.base is not None:
+                owner = owner.base
+            tensor.accumulate_grad(g, copy=id(owner) in claimed)
+            claimed.add(id(owner))
 
         for output, backward_fn in reversed(self._records):
             g = flowing.pop(id(output), None)
@@ -134,7 +148,7 @@ class Tape:
             if g is None:
                 continue
             if output.requires_grad:
-                output.accumulate_grad(g)
+                install(output, g)
             for tensor, contribution in backward_fn(g):
                 key = id(tensor)
                 if key in flowing:
@@ -146,7 +160,7 @@ class Tape:
         # Whatever remains are leaves (tensors never produced by a record).
         for key, tensor in holders.items():
             if tensor.requires_grad:
-                tensor.accumulate_grad(flowing[key])
+                install(tensor, flowing[key])
 
 
 def backward(loss: Tensor) -> None:
@@ -180,9 +194,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g: np.ndarray):
-        return [(a, g @ b_data.T), (b, a_data.T @ g)]
+        grads = []
+        if need_a:
+            grads.append((a, g @ b_data.T))
+        if need_b:
+            grads.append((b, a_data.T @ g))
+        return grads
 
     return _emit(a_data @ b_data, (a, b), backward_fn, "matmul")
 
@@ -278,21 +298,26 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * kh * kw)
     k_mat = kernel.data.reshape(f, c * kh * kw)
     out = (cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
+    need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward_fn(g: np.ndarray):
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
-        dk = (g_mat.T @ cols).reshape(f, c, kh, kw)
-        dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        dpadded = np.zeros_like(padded)
-        for u in range(kh):
-            for v in range(kw):
-                dpadded[:, :, u : u + stride * (h_out - 1) + 1 : stride,
-                        v : v + stride * (w_out - 1) + 1 : stride] += dcols[:, :, :, :, u, v]
-        if padding:
-            dx = dpadded[:, :, padding : padding + h, padding : padding + w]
-        else:
-            dx = dpadded
-        return [(x, np.ascontiguousarray(dx)), (kernel, dk)]
+        grads = []
+        if need_x:
+            dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+            dpadded = np.zeros_like(padded)
+            for u in range(kh):
+                for v in range(kw):
+                    dpadded[:, :, u : u + stride * (h_out - 1) + 1 : stride,
+                            v : v + stride * (w_out - 1) + 1 : stride] += dcols[:, :, :, :, u, v]
+            if padding:
+                dx = dpadded[:, :, padding : padding + h, padding : padding + w]
+            else:
+                dx = dpadded
+            grads.append((x, np.ascontiguousarray(dx)))
+        if need_k:
+            grads.append((kernel, (g_mat.T @ cols).reshape(f, c, kh, kw)))
+        return grads
 
     return _emit(out, (x, kernel), backward_fn, "conv2d")
 

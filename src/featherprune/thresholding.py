@@ -87,16 +87,22 @@ def apply_threshold(
         # (|w|^p - T^p)^(1/p) computed as T * r * (1 - r^-p)^(1/p) with
         # r = |w|/T >= 1, which avoids overflow of |w|^p for large p. The
         # underflow of r^-p for very large r is benign: it lands on the hard
-        # limit |w| exactly.
+        # limit |w| exactly. Only the surviving entries are gathered (by flat
+        # index), evaluated in float64 and scattered into zeros: at high
+        # sparsity they are a small share of the matrix, and each value is
+        # bit-for-bit what a pass over the whole matrix would give.
         p = op.p
+        kept = np.flatnonzero(mask)
+        kept_magnitude = np.take(magnitude, kept).astype(np.float64)
         with np.errstate(over="ignore"):
-            ratio = magnitude.astype(np.float64) / threshold
-            ratio = np.where(mask, ratio, 2.0)  # dummy value; masked out below
+            ratio = kept_magnitude / threshold
             scaled = threshold * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
         # A subnormal threshold can overflow the ratio; there the bias T is far
         # below one float32 ulp of |w|, so the exact answer is |w| itself.
-        scaled = np.where(np.isfinite(scaled), scaled, magnitude.astype(np.float64))
-        surviving = np.sign(w) * scaled.astype(w.dtype, copy=False)
+        scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
+        pruned = np.zeros(w.shape, dtype=w.dtype)
+        np.put(pruned, kept, np.sign(np.take(w, kept)) * scaled.astype(w.dtype, copy=False))
+        return pruned, mask
 
     pruned = np.where(mask, surviving, w.dtype.type(0.0))
     return pruned, mask

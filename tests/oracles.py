@@ -96,3 +96,24 @@ def splitmix64_reference(state: int):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return state, (z ^ (z >> 31)) & mask
+
+
+def power_threshold_full_matrix(w: np.ndarray, t: float, p: float):
+    """Power-p thresholding evaluated over the whole matrix, then masked.
+
+    The float64 steps and their order are those of the operator's closed form
+    T * r * (1 - r^-p)^(1/p), r = |w|/T, with a dummy ratio at pruned entries
+    and |w| standing in wherever the result is not finite. An implementation
+    that evaluates only the surviving entries must match this byte for byte.
+    Requires t > 0 and p != 1.
+    """
+    w = np.asarray(w)
+    magnitude = np.abs(w)
+    mask = magnitude > t
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = magnitude.astype(np.float64) / t
+        ratio = np.where(mask, ratio, 2.0)
+        scaled = t * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
+    scaled = np.where(np.isfinite(scaled), scaled, magnitude.astype(np.float64))
+    surviving = np.sign(w) * scaled.astype(w.dtype, copy=False)
+    return np.where(mask, surviving, w.dtype.type(0.0)), mask

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featherprune.analysis import MaskSnapshot
 from featherprune.checkpoint import (
@@ -166,6 +168,55 @@ class TestLoadErrors:
         path = self.write(tmp_path, MAGIC + struct.pack("<II", VERSION, 2) + record + record)
         with pytest.raises(FormatError, match="duplicate record name 'w'"):
             load_checkpoint(path)
+
+    def test_non_utf8_name_names_record_and_offset(self, tmp_path):
+        good = tmp_path / "good.fthr"
+        save_checkpoint(good, {"ab": np.float32([1.0])})
+        blob = bytearray(good.read_bytes())
+        blob[16 + 1] = 0xFF  # second name byte: after magic, header, name length
+        path = self.write(tmp_path, bytes(blob))
+        with pytest.raises(FormatError, match="record 0 name is not UTF-8: byte 0xff at offset 17"):
+            load_checkpoint(path)
+
+    def test_rank_beyond_numpy_limit(self, tmp_path):
+        rank = 70
+        record = (
+            struct.pack("<I", 1) + b"w"
+            + struct.pack("<I", rank) + struct.pack(f"<{rank}I", 0, *[1] * (rank - 1))
+        )
+        path = self.write(tmp_path, MAGIC + struct.pack("<II", VERSION, 1) + record)
+        with pytest.raises(FormatError, match=r"record 0 \(w\) rank 70 at offset 17"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    """Mutated checkpoints either load or raise FormatError naming an offset."""
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+        tail=st.binary(max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_format_error_escapes(self, fuzz_dir, edits, cut, tail):
+        path = fuzz_dir / "fuzz.fthr"
+        save_checkpoint(path, {**sample_records(), "scalar": np.float32(2.0).reshape(())})
+        blob = bytearray(path.read_bytes())
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        if cut is not None:
+            del blob[cut % (len(blob) + 1):]
+        blob += tail
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except FormatError as exc:
+            assert "offset" in str(exc)
 
 
 class TestModelBridge:

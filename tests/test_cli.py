@@ -176,6 +176,25 @@ class TestFlops:
         total_dense, total_sparse = map(int, lines[-1].split(",")[1:])
         assert total_sparse == total_dense
 
+    @pytest.mark.parametrize("header", [b"\x00\x00\x08\x03" + bytes(6),
+                                        b"\x00\x00\x08\x01" + bytes(12)],
+                             ids=["truncated", "bad_magic"])
+    def test_idx_header_errors_match_loader(self, tmp_path, capsys, header):
+        from featherprune.datasets import load_idx
+        from featherprune.errors import FormatError
+        images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        images.write_bytes(header)
+        labels.write_bytes(b"\x00\x00\x08\x01" + bytes(4))
+        with pytest.raises(FormatError) as loader_error:
+            load_idx(images, labels)
+        ckpt = tmp_path / "empty.fthr"
+        save_checkpoint(ckpt, {})
+        code = main(["flops", "--checkpoint", str(ckpt),
+                     "--set", "dataset.kind=idx", "--set", f"dataset.images={images}",
+                     "--set", f"dataset.labels={labels}", "--set", "model.arch=cnn"])
+        assert code == 1
+        assert capsys.readouterr().err == f"run failed: {loader_error.value}\n"
+
 
 class TestSweep:
     def test_grid_layout_and_aggregate(self, tmp_path, capsys):

@@ -150,6 +150,18 @@ class TestFeatherBackward:
         with pytest.raises(ValueError, match="does not match mask"):
             feather_backward(state, np.float32([0.2, 0.4, 0.6]))
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-8, 0.3, 0.5, 0.75, 1.0])
+    def test_bytes_match_where_scale(self, theta):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((37, 29)).astype(np.float32)
+        grad = rng.standard_normal(w.shape).astype(np.float32)
+        grad.ravel()[:6] = [0.0, -0.0, 1e-45, -1e-45, 3e38, -3e38]
+        state = make_state(w, theta=theta, threshold=0.6)
+        feather_forward(state)
+        want = grad * np.where(state.mask, np.float32(1.0), np.float32(theta))
+        out = feather_backward(state, grad)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
     @given(
         grad=hnp.arrays(np.float32, st.integers(1, 32),
                         elements=st.floats(-10, 10, allow_nan=False, width=32)),

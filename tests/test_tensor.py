@@ -264,6 +264,115 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(loss.item())
 
 
+class TestInputWithoutGradient:
+    """An input that needs no gradient gets none, and skipping it changes no
+    other gradient by a single bit."""
+
+    def run(self, op, x_data, w_data, b_data, x_grad):
+        x = Tensor(x_data.copy(), requires_grad=x_grad)
+        w = Tensor(w_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True)
+        with Tape() as tape:
+            logits = flatten(add_bias(op(x, w), b))
+            labels = np.arange(x_data.shape[0]) % logits.shape[1]
+            loss = softmax_cross_entropy(logits, labels)
+            tape.backward(loss)
+        return x, w, b, tape
+
+    def check(self, op, x_data, w_data, b_data):
+        x, w, b, tape = self.run(op, x_data, w_data, b_data, x_grad=False)
+        x_ref, w_ref, b_ref, _ = self.run(op, x_data, w_data, b_data, x_grad=True)
+        assert x.grad is None
+        assert x_ref.grad is not None
+        assert w.grad.tobytes() == w_ref.grad.tobytes()
+        assert b.grad.tobytes() == b_ref.grad.tobytes()
+        # the op's backward hands out the weight gradient only
+        first_output, first_backward = tape._records[0]
+        assert [t for t, _ in first_backward(np.ones_like(first_output.data))] == [w]
+
+    def test_matmul(self):
+        rng = np.random.default_rng(5)
+        self.check(matmul, rng.standard_normal((9, 13)).astype(np.float32),
+                   rng.standard_normal((13, 7)).astype(np.float32),
+                   rng.standard_normal(7).astype(np.float32))
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
+    def test_conv2d(self, stride, padding):
+        rng = np.random.default_rng(6)
+        op = lambda x, k: conv2d(x, k, stride, padding)  # noqa: E731
+        self.check(op, rng.standard_normal((3, 2, 7, 6)).astype(np.float32),
+                   rng.standard_normal((4, 2, 3, 3)).astype(np.float32),
+                   rng.standard_normal(4).astype(np.float32))
+
+    def test_weight_without_gradient_skipped_too(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)))
+        with Tape() as tape:
+            loss = sum_all(matmul(x, w))
+            tape.backward(loss)
+        assert w.grad is None
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+class TestGradientsOwnTheirMemory:
+    """Gradients are installed without a copy where possible; no two tensors'
+    grads may share memory after a backward sweep, even through ops that pass
+    the incoming gradient on (add_bias) or a view of it (reshape, flatten)."""
+
+    def sweep(self, model, x):
+        overrides = {id(layer): Tensor(layer.weight.data, requires_grad=True)
+                     for layer in model.layers}
+        with Tape() as tape:
+            logits = model.forward(Tensor(x), overrides)
+            loss = softmax_cross_entropy(logits, np.arange(len(x)) % logits.shape[1])
+            tape.backward(loss)
+        tensors = [out for out, _ in tape._records]
+        tensors += list(overrides.values()) + [layer.bias for layer in model.layers]
+        return tensors
+
+    def assert_disjoint(self, tensors):
+        grads = [t.grad for t in tensors]
+        assert all(g is not None for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_mlp(self):
+        from featherprune.models import build_mlp
+        from featherprune.seeding import init_rng
+        model = build_mlp(12, [8, 6], 4, init_rng(0))
+        x = np.random.default_rng(0).standard_normal((5, 12)).astype(np.float32)
+        self.assert_disjoint(self.sweep(model, x))
+
+    def test_cnn(self):
+        from featherprune.models import build_cnn
+        from featherprune.seeding import init_rng
+        model = build_cnn((1, 8, 8), 3, init_rng(0), channels=(2, 3))
+        x = np.random.default_rng(0).standard_normal((4, 1, 8, 8)).astype(np.float32)
+        self.assert_disjoint(self.sweep(model, x))
+
+    def test_pass_through_chain(self):
+        x = Tensor(np.ones((2, 2, 2, 1)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        with Tape() as tape:
+            h = add_bias(x, b)
+            r = reshape(h, (2, 4))
+            loss = sum_all(add_bias(flatten(r), Tensor(np.zeros(4), requires_grad=True)))
+            tape.backward(loss)
+        tensors = [out for out, _ in tape._records] + [x, b]
+        self.assert_disjoint(tensors)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 2, 2, 1)))
+
+    def test_accumulate_grad_copies_by_default(self):
+        g = np.ones(3, dtype=np.float32)
+        t = Tensor(np.zeros(3), requires_grad=True)
+        t.accumulate_grad(g)
+        assert t.grad is not g and not np.shares_memory(t.grad, g)
+        u = Tensor(np.zeros(3), requires_grad=True)
+        u.accumulate_grad(g, copy=False)
+        assert u.grad is g
+
+
 class TestNumericalHygiene:
     def test_overflow_raises_non_finite(self):
         big = Tensor(np.full((2, 2), 1e30, dtype=np.float32))

@@ -162,6 +162,60 @@ class TestOperatorInvariants:
                 assert values[2] < 0.1 * t
 
 
+class TestSurvivorOnlyPowerP:
+    """The power-p branch evaluates only the surviving entries; each value must
+    be byte-equal to the full-matrix evaluation in ``oracles``."""
+
+    POWERS = (1.5, 2.0, 3.0, 8.0, 1e3)
+
+    def assert_matches_full_matrix(self, w, t, p):
+        pruned, mask = apply_threshold(w, t, ThresholdOperator.power(p))
+        want, want_mask = oracles.power_threshold_full_matrix(w, t, p)
+        assert pruned.dtype == want.dtype and pruned.shape == want.shape
+        assert pruned.tobytes() == want.tobytes()
+        assert mask.tobytes() == want_mask.tobytes()
+
+    @given(
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=70),
+        offset=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+        quantile=st.floats(0.0, 0.999),
+        p=st.sampled_from(POWERS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_shapes_and_alignments(self, shape, offset, seed, quantile, p):
+        rng = np.random.default_rng(seed)
+        size = int(np.prod(shape))
+        # a view starting `offset` elements into a buffer shifts its alignment
+        buf = rng.standard_normal(size + offset).astype(np.float32)
+        w = buf[offset:].reshape(shape)
+        t = float(np.quantile(np.abs(w), quantile))
+        if t == 0.0:
+            t = 1e-3
+        self.assert_matches_full_matrix(w, t, p)
+
+    @pytest.mark.parametrize("p", POWERS)
+    def test_ties_at_threshold(self, p):
+        t = np.float32(0.375)
+        w = np.tile(np.float32([t, -t, 0.5, -0.75, t, 2.0, np.nextafter(t, 1)]), 37)
+        self.assert_matches_full_matrix(w, float(t), p)
+        _, mask = apply_threshold(w, float(t), ThresholdOperator.power(p))
+        assert not mask[np.abs(w) == t].any()
+
+    @pytest.mark.parametrize("p", POWERS)
+    @pytest.mark.parametrize("t", [float(np.float32(1e-42)), 5e-324],
+                             ids=["f32_subnormal", "f64_subnormal"])
+    def test_subnormal_threshold(self, p, t):
+        w = np.float32([1e-44, -1e-41, 3e-39, -0.5, 1.0, 3e38, -2e-45, 0.0] * 9)
+        self.assert_matches_full_matrix(w, t, p)
+
+    def test_nothing_survives(self):
+        w = np.float32([[0.1, -0.2], [0.05, 0.0]])
+        pruned, mask = apply_threshold(w, 0.5, P3)
+        assert pruned.tobytes() == np.zeros_like(w).tobytes()
+        assert not mask.any()
+
+
 class TestSelectThreshold:
     def test_quarter_example(self):
         t = select_threshold(np.float32([0.05, 0.1, 0.3, 0.7]), 0.5)
