@@ -38,7 +38,7 @@ from .config import (
     config_to_text,
     resolve_config,
 )
-from .datasets import IDX_IMAGES_MAGIC, DatasetDescriptor, _read_header, load_dataset
+from .datasets import DatasetDescriptor, _read_image_header, load_dataset
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .tensor import Tensor
 from .thresholding import apply_threshold
@@ -82,7 +82,7 @@ def _input_shape(desc: DatasetDescriptor) -> tuple:
         return (desc.dims,)
     with open(desc.images_path, "rb") as fh:
         header = fh.read(16)
-    _, _, rows, cols = _read_header(header, 4, desc.images_path, IDX_IMAGES_MAGIC)
+    _, rows, cols = _read_image_header(header, desc.images_path)
     return (1, rows, cols)
 
 

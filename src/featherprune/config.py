@@ -35,7 +35,7 @@ __all__ = [
     "build_model_for",
 ]
 
-# key -> (value kind, default). Kinds: int, float, bool, str, int_list,
+# key -> (value kind, default). Kinds: int, float, str, int_list,
 # tribool (true/false/auto), choice:a|b|c.
 SCHEMA: dict[str, tuple[str, object]] = {
     "run.label": ("str", "run"),
@@ -93,10 +93,6 @@ def _convert(key: str, raw: str):
             if raw.lower() in ("inf", "infinity"):
                 return math.inf
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError(raw)
         if kind == "tribool":
             if raw.lower() == "auto":
                 return None
@@ -119,8 +115,6 @@ def _format(key: str, value) -> str:
     kind = SCHEMA[key][0]
     if kind == "tribool":
         return "auto" if value is None else ("true" if value else "false")
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "int_list":
         return ",".join(str(v) for v in value)
     if kind == "float":

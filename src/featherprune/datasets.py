@@ -79,7 +79,8 @@ def _read_header(blob: bytes, n_fields: int, path, expected_magic: int) -> tuple
     header_len = 4 * n_fields
     if len(blob) < header_len:
         raise FormatError(
-            f"{path}: truncated header, needed {header_len} bytes, file ends at {len(blob)}"
+            f"{path}: truncated header at offset 0, needed {header_len} bytes, "
+            f"file ends at {len(blob)}"
         )
     fields = struct.unpack_from(f">{n_fields}I", blob, 0)
     if fields[0] != expected_magic:
@@ -89,6 +90,15 @@ def _read_header(blob: bytes, n_fields: int, path, expected_magic: int) -> tuple
     return fields
 
 
+def _read_image_header(blob: bytes, path) -> tuple[int, int, int]:
+    """Image count, rows and cols from an IDX image header; none may be 0."""
+    _, count, rows, cols = _read_header(blob, 4, path, IDX_IMAGES_MAGIC)
+    for value, field, offset in ((count, "image", 4), (rows, "row", 8), (cols, "column", 12)):
+        if value == 0:
+            raise FormatError(f"{path}: {field} count is 0 at offset {offset}")
+    return count, rows, cols
+
+
 def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tuple[Tensor, np.ndarray]:
     """Load a big-endian IDX image/label file pair.
 
@@ -96,13 +106,11 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tup
     ``num_classes`` is given, any label outside [0, num_classes) is rejected.
     """
     img_blob = Path(images_path).read_bytes()
-    _, count, rows, cols = _read_header(img_blob, 4, images_path, IDX_IMAGES_MAGIC)
-    if count < 1:
-        raise FormatError(f"{images_path}: image count is 0")
+    count, rows, cols = _read_image_header(img_blob, images_path)
     expected = 16 + count * rows * cols
     if len(img_blob) < expected:
         raise FormatError(
-            f"{images_path}: truncated pixel data, needed {expected} bytes, "
+            f"{images_path}: truncated pixel data at offset 16, needed {expected} bytes, "
             f"file ends at {len(img_blob)}"
         )
     if len(img_blob) > expected:
@@ -115,14 +123,14 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tup
     expected = 8 + lbl_count
     if len(lbl_blob) < expected:
         raise FormatError(
-            f"{labels_path}: truncated label data, needed {expected} bytes, "
+            f"{labels_path}: truncated label data at offset 8, needed {expected} bytes, "
             f"file ends at {len(lbl_blob)}"
         )
     if len(lbl_blob) > expected:
         raise FormatError(f"{labels_path}: {len(lbl_blob) - expected} trailing bytes at offset {expected}")
     if lbl_count != count:
         raise FormatError(
-            f"count mismatch: {images_path} has {count} images, "
+            f"count mismatch at offset 4: {images_path} has {count} images, "
             f"{labels_path} has {lbl_count} labels"
         )
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)

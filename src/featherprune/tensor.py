@@ -4,7 +4,9 @@ Scope is intentionally small: exactly the operations needed to train compact
 MLP/CNN classifiers. There is no broadcasting beyond bias addition, no views,
 and no dtype other than float32. Reductions use numpy's fixed (pairwise)
 summation order and BLAS matrix products, so forward results are bitwise
-repeatable for identical inputs within one environment.
+repeatable for identical inputs within one environment. Ops hand back
+C-contiguous arrays for C-contiguous inputs, and ``conv2d`` always does, so the
+bias, relu and reshape steps after a convolution run on contiguous memory.
 
 Gradients are recorded on an explicit :class:`Tape`: each operation executed
 while a tape is active appends one record, and ``Tape.backward(loss)`` replays
@@ -265,11 +267,32 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit(np.sum(x.data, dtype=np.float32), (x,), backward_fn, "sum_all")
 
 
+def _tap_slices(offset: int, size: int, out_size: int, stride: int, padding: int):
+    """Output positions whose window tap ``offset`` lands inside the unpadded
+    input, and the input positions it reads there: a pair of slices along one
+    spatial axis, or None when every read falls in the zero padding."""
+    lo = max(0, -((offset - padding) // stride))
+    hi = min(out_size, (size - 1 + padding - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + offset - padding
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding.
 
     Input is NCHW, the kernel is (out_channels, in_channels, kh, kw), and the
-    output spatial size is floor((H + 2*padding - kh) / stride) + 1.
+    output spatial size is floor((H + 2*padding - kh) / stride) + 1. The output
+    and the input gradient are C-contiguous NCHW arrays.
+
+    The receptive fields are copied into a C-ordered (n, h_out, w_out, c, kh,
+    kw) column buffer, one strided slice per kernel tap; reads that fall in the
+    padding stay zero. The products are ``cols @ k_mat.T`` (forward),
+    ``g_mat @ k_mat`` (input gradient) and ``g_mat.T @ cols`` (kernel
+    gradient) on C-contiguous ``cols`` and ``g_mat``: the BLAS operands, and
+    so the bits, of the padded im2col form this replaced. Each input-gradient
+    element sums its taps in row-major (kh, kw) order, starting from zero.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -287,34 +310,34 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
+    row_taps = [_tap_slices(u, h, h_out, stride, padding) for u in range(kh)]
+    col_taps = [_tap_slices(v, w, w_out, stride, padding) for v in range(kw)]
+    taps = [(u, v, row_taps[u], col_taps[v]) for u in range(kh) for v in range(kw)
+            if row_taps[u] and col_taps[v]]
 
-    if padding:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        padded = x.data
-    # (n, c, h_out, w_out, kh, kw) view of all receptive fields
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * kh * kw)
+    alloc = np.zeros if padding else np.empty
+    cols6 = alloc((n, h_out, w_out, c, kh, kw), dtype=np.float32)
+    windows = cols6.transpose(0, 3, 1, 2, 4, 5)  # (n, c, h_out, w_out, kh, kw)
+    for u, v, (oi, ii), (oj, ij) in taps:
+        windows[:, :, oi, oj, u, v] = x.data[:, :, ii, ij]
+    cols = cols6.reshape(n * h_out * w_out, c * kh * kw)
     k_mat = kernel.data.reshape(f, c * kh * kw)
-    out = (cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray((cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2))
     need_x, need_k = x.requires_grad, kernel.requires_grad
 
     def backward_fn(g: np.ndarray):
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
         grads = []
         if need_x:
-            dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            dpadded = np.zeros_like(padded)
-            for u in range(kh):
-                for v in range(kw):
-                    dpadded[:, :, u : u + stride * (h_out - 1) + 1 : stride,
-                            v : v + stride * (w_out - 1) + 1 : stride] += dcols[:, :, :, :, u, v]
-            if padding:
-                dx = dpadded[:, :, padding : padding + h, padding : padding + w]
-            else:
-                dx = dpadded
-            grads.append((x, np.ascontiguousarray(dx)))
+            # (kh, kw, h_out, w_out, c, n) view of the column gradient, summed
+            # into an (h, w, c, n)-ordered buffer: each tap's update then runs
+            # over c*n contiguous elements. Every element still sums its taps
+            # in (u, v) order starting from zero.
+            dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(4, 5, 1, 2, 3, 0)
+            dx_hwcn = np.zeros((h, w, c, n), dtype=np.float32)
+            for u, v, (oi, ii), (oj, ij) in taps:
+                dx_hwcn[ii, ij] += dcols[u, v, oi, oj]
+            grads.append((x, np.ascontiguousarray(dx_hwcn.transpose(3, 2, 0, 1))))
         if need_k:
             grads.append((kernel, (g_mat.T @ cols).reshape(f, c, kh, kw)))
         return grads

@@ -117,3 +117,46 @@ def power_threshold_full_matrix(w: np.ndarray, t: float, p: float):
     scaled = np.where(np.isfinite(scaled), scaled, magnitude.astype(np.float64))
     surviving = np.sign(w) * scaled.astype(w.dtype, copy=False)
     return np.where(mask, surviving, w.dtype.type(0.0)), mask
+
+
+def conv2d_im2col_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
+    """The im2col/col2im conv2d that the library's ``conv2d`` replaced, on arrays.
+
+    The body is the old operator's, unchanged: a padded copy, a strided
+    window gather reshaped into columns, and col2im into a padded buffer.
+    Returns ``(out, backward, cols_is_view)``: the output array, a function
+    from the output gradient to ``(dx, dk)``, and whether the column reshape
+    returned a view of the (padded) input rather than a copy, in which case
+    BLAS was handed a strided operand.
+    """
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+
+    if padding:
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    else:
+        padded = x
+    # (n, c, h_out, w_out, kh, kw) view of all receptive fields
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * kh * kw)
+    k_mat = kernel.reshape(f, c * kh * kw)
+    out = (cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
+
+    def backward(g: np.ndarray):
+        g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
+        dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        dpadded = np.zeros_like(padded)
+        for u in range(kh):
+            for v in range(kw):
+                dpadded[:, :, u : u + stride * (h_out - 1) + 1 : stride,
+                        v : v + stride * (w_out - 1) + 1 : stride] += dcols[:, :, :, :, u, v]
+        if padding:
+            dx = dpadded[:, :, padding : padding + h, padding : padding + w]
+        else:
+            dx = dpadded
+        return np.ascontiguousarray(dx), (g_mat.T @ cols).reshape(f, c, kh, kw)
+
+    return out, backward, np.shares_memory(cols, padded)

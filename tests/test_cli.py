@@ -177,8 +177,9 @@ class TestFlops:
         assert total_sparse == total_dense
 
     @pytest.mark.parametrize("header", [b"\x00\x00\x08\x03" + bytes(6),
-                                        b"\x00\x00\x08\x01" + bytes(12)],
-                             ids=["truncated", "bad_magic"])
+                                        b"\x00\x00\x08\x01" + bytes(12),
+                                        b"\x00\x00\x08\x03" + bytes(3) + b"\x01" + bytes(8)],
+                             ids=["truncated", "bad_magic", "zero_rows"])
     def test_idx_header_errors_match_loader(self, tmp_path, capsys, header):
         from featherprune.datasets import load_idx
         from featherprune.errors import FormatError

@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featherprune.datasets import (
     DatasetDescriptor,
@@ -107,14 +109,68 @@ class TestLoadIdx:
         lbl = tmp_path / "l.idx"
         img.write_bytes(struct.pack(">IIII", 0x00000803, 0, 3, 4))
         lbl.write_bytes(idx_labels([]))
-        with pytest.raises(FormatError, match="count is 0"):
+        with pytest.raises(FormatError, match="image count is 0 at offset 4"):
             load_idx(img, lbl)
+
+    @pytest.mark.parametrize("rows,cols,message", [
+        (0, 28, "row count is 0 at offset 8"),
+        (28, 0, "column count is 0 at offset 12"),
+    ])
+    def test_zero_image_side_rejected(self, tmp_path, rows, cols, message):
+        img = tmp_path / "flat.idx"
+        lbl = tmp_path / "l.idx"
+        img.write_bytes(struct.pack(">IIII", 0x00000803, 2, rows, cols))
+        lbl.write_bytes(idx_labels([0, 1]))
+        with pytest.raises(FormatError, match=message):
+            load_idx(img, lbl)
+        desc = DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl)
+        with pytest.raises(FormatError, match=message):
+            load_dataset(desc)
 
     def test_label_out_of_class_range(self, idx_pair):
         img_path, lbl_path, _, _ = idx_pair
         with pytest.raises(ValueError, match="label 7 out of range"):
             load_idx(img_path, lbl_path, num_classes=4)
         load_idx(img_path, lbl_path, num_classes=8)  # 7 is legal here
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx_fuzz")
+
+
+class TestLoadIdxFuzz:
+    """Mutated image/label pairs either load or raise FormatError naming an offset."""
+
+    @given(
+        # (count, rows, cols) of the pair before mutation, 0 included
+        dims=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        # (in the label file?, position, new byte)
+        edits=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(0, 255)),
+                       max_size=4),
+        cuts=st.tuples(st.one_of(st.none(), st.integers(0, 10**6)),
+                       st.one_of(st.none(), st.integers(0, 10**6))),
+        tails=st.tuples(st.binary(max_size=8), st.binary(max_size=8)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_format_error_escapes(self, fuzz_dir, dims, edits, cuts, tails):
+        count, rows, cols = dims
+        pixels = np.arange(count * rows * cols, dtype=np.uint8).reshape(count, rows, cols)
+        blobs = [bytearray(idx_images(pixels)), bytearray(idx_labels(np.arange(count) % 10))]
+        for in_labels, pos, value in edits:
+            blob = blobs[in_labels]
+            blob[pos % len(blob)] = value
+        for blob, cut, tail in zip(blobs, cuts, tails):
+            if cut is not None:
+                del blob[cut % (len(blob) + 1):]
+            blob += tail
+        img, lbl = fuzz_dir / "imgs.idx", fuzz_dir / "lbls.idx"
+        img.write_bytes(bytes(blobs[0]))
+        lbl.write_bytes(bytes(blobs[1]))
+        try:
+            load_idx(img, lbl)
+        except FormatError as exc:
+            assert "offset" in str(exc)
 
 
 def blob_desc(**kw):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from featherprune.errors import NonFiniteError
 from featherprune.tensor import (
     Tape,
     Tensor,
+    _emit,
     add_bias,
     backward,
     conv2d,
@@ -312,6 +315,99 @@ class TestInputWithoutGradient:
             tape.backward(loss)
         assert w.grad is None
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+# (in_channels, height and width, out_channels) of build_cnn's two 3x3,
+# stride-2, padding-1 layers on a 28x28 single-channel input
+CNN_CONV_SHAPES = [(1, 28, 8), (8, 14, 16)]
+
+
+@st.composite
+def conv_shapes(draw):
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 3))
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    kh = draw(st.integers(1, min(h + 2 * padding, 5)))
+    kw = draw(st.integers(1, min(w + 2 * padding, 5)))
+    return (draw(st.integers(1, 5)), draw(st.integers(1, 3)), h, w,
+            draw(st.integers(1, 4)), kh, kw, stride, padding)
+
+
+def reference_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """``oracles.conv2d_im2col_reference`` recorded on the tape like conv2d."""
+    out, ref_backward, _ = oracles.conv2d_im2col_reference(x.data, kernel.data, stride, padding)
+
+    def backward_fn(g):
+        dx, dk = ref_backward(g)
+        return [(t, grad) for t, grad in ((x, dx), (kernel, dk)) if t.requires_grad]
+
+    return _emit(out, (x, kernel), backward_fn, "conv2d")
+
+
+class TestConv2dMatchesIm2colReference:
+    """conv2d reproduces the padded im2col/col2im operator it replaced byte
+    for byte in its output, input gradient and kernel gradient, and returns
+    C-contiguous arrays. The exception is a shape where the old column
+    reshape returned a strided view of the input, so the old forward and
+    kernel-gradient products got a strided BLAS operand; there they agree to
+    float32 rounding."""
+
+    def compare(self, seed, n, c, h, w, f, kh, kw, stride, padding):
+        rng = np.random.default_rng(seed)
+        x_data = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        k_data = rng.standard_normal((f, c, kh, kw)).astype(np.float32)
+        ref_out, ref_backward, cols_is_view = oracles.conv2d_im2col_reference(
+            x_data, k_data, stride, padding)
+        g = rng.standard_normal(ref_out.shape).astype(np.float32)
+        x = Tensor(x_data, requires_grad=True)
+        kernel = Tensor(k_data, requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, kernel, stride, padding)
+        (_, dx), (_, dk) = tape._records[-1][1](g)
+        assert out.data.flags.c_contiguous and dx.flags.c_contiguous
+        for got, want in zip((out.data, dx, dk), (ref_out, *ref_backward(g))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            if cols_is_view:
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+            else:
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        return cols_is_view
+
+    @given(n=st.integers(1, 128), layer=st.sampled_from(CNN_CONV_SHAPES),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_cnn_layer_shapes(self, n, layer, seed):
+        c, size, f = layer
+        assert not self.compare(seed, n, c, size, size, f, 3, 3, 2, 1)
+
+    @given(shape=conv_shapes(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_general_shapes(self, shape, seed):
+        self.compare(seed, *shape)
+
+    def test_strided_view_case(self):
+        # n=1, 1x3 kernel, stride 3, width 5: the old columns were a view
+        assert self.compare(0, 1, 1, 1, 5, 2, 1, 3, 3, 0)
+
+    @pytest.mark.parametrize("n", [1, 17, 64, 128])
+    def test_cnn_gradients(self, n, monkeypatch):
+        """Through bias, relu and flatten, the output layout changes no bit
+        of the loss or of any parameter gradient of build_cnn."""
+        from featherprune import models
+        from featherprune.seeding import init_rng
+
+        def run(conv):
+            monkeypatch.setattr(models, "conv2d", conv)
+            model = models.build_cnn((1, 28, 28), 10, init_rng(n))
+            rng = np.random.default_rng(n)
+            x = Tensor(rng.random((n, 1, 28, 28)))
+            with Tape() as tape:
+                loss = softmax_cross_entropy(model.forward(x), rng.integers(0, 10, n), 0.1)
+                tape.backward(loss)
+            return [loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
+
+        assert run(conv2d) == run(reference_conv2d)
 
 
 class TestGradientsOwnTheirMemory:
