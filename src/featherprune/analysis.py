@@ -63,9 +63,8 @@ def mask_pearson(a: np.ndarray, b: np.ndarray) -> PearsonResult:
     if np.array_equal(av, bv):
         # corrcoef can land one ulp under 1.0; identical masks are exactly 1.
         return PearsonResult(1.0)
-    af = av.astype(np.float64)
-    bf = bv.astype(np.float64)
-    r = float(np.corrcoef(af, bf)[0, 1])
+    # corrcoef converts the bools to float64 itself, once, into its stacked copy.
+    r = float(np.corrcoef(av, bv)[0, 1])
     return PearsonResult(max(-1.0, min(1.0, r)))
 
 

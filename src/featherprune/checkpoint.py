@@ -11,7 +11,10 @@ save/load/save cycle is byte-identical.
 from __future__ import annotations
 
 import math
+import os
+import secrets
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from .errors import FormatError
 
 __all__ = [
     "MASK_SUFFIX",
+    "atomic_open",
     "save_checkpoint",
     "load_checkpoint",
     "model_records",
@@ -32,31 +36,52 @@ VERSION = 1
 MASK_SUFFIX = "/mask"
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temp file beside ``path`` and move it over ``path`` on success.
+
+    A reader sees the old file or the whole new one, never a partial write.
+    If the body raises, the temp file is removed and ``path`` is untouched.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _checked(name: str, arr) -> np.ndarray:
+    """One record as an array, after checking its dtype against its name."""
+    arr = np.asarray(arr)
+    if name.endswith(MASK_SUFFIX):
+        if arr.dtype != np.bool_ and arr.dtype != np.uint8:
+            raise ValueError(f"mask record {name!r} must be bool or u8, got {arr.dtype}")
+    elif arr.dtype != np.float32:
+        raise ValueError(f"record {name!r} must be float32, got {arr.dtype}")
+    return arr
+
+
 def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
-    payload = bytearray()
-    payload += MAGIC
-    payload += struct.pack("<II", VERSION, len(records))
-    for name, arr in records.items():
-        arr = np.asarray(arr)
-        if name.endswith(MASK_SUFFIX):
-            if arr.dtype == np.bool_:
-                arr = arr.astype(np.uint8)
-            elif arr.dtype != np.uint8:
-                raise ValueError(f"mask record {name!r} must be bool or u8, got {arr.dtype}")
-            wire = arr.astype("<u1", copy=False)
-        else:
-            if arr.dtype != np.float32:
-                raise ValueError(f"record {name!r} must be float32, got {arr.dtype}")
-            wire = arr.astype("<f4", copy=False)
-        encoded = name.encode("utf-8")
-        payload += struct.pack("<I", len(encoded))
-        payload += encoded
-        payload += struct.pack("<I", arr.ndim)
-        if arr.ndim:
-            payload += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        payload += wire.tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    """Write records to ``path``, streamed one at a time into a temp file.
+
+    Every record is validated before the file is opened, so a bad record
+    leaves an existing file at ``path`` unchanged.
+    """
+    arrays = [(name, _checked(name, arr)) for name, arr in records.items()]
+    with atomic_open(path) as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(arrays)))
+        for name, arr in arrays:
+            wire = arr.astype("<u1" if name.endswith(MASK_SUFFIX) else "<f4",
+                              order="C", copy=False)
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
+                                 len(encoded), encoded, arr.ndim, *arr.shape))
+            fh.write(wire)  # the array's own buffer, no bytes copy
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

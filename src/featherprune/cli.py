@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 run failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -23,6 +25,7 @@ import numpy as np
 from .analysis import MaskSnapshot, curve_to_csv, flops_count, stability_curve
 from .checkpoint import (
     MASK_SUFFIX,
+    atomic_open,
     load_checkpoint,
     model_records,
     restore_model,
@@ -53,7 +56,8 @@ def run_spec(spec: RunSpec) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(spec.descriptor, expected_classes=spec.values["model.classes"])
     model = build_model_for(spec.values, dataset.input_shape, spec.train.seed)
-    (out / "config.txt").write_text(config_to_text(spec.values), encoding="utf-8")
+    with atomic_open(out / "config.txt", "w", encoding="utf-8") as fh:
+        fh.write(config_to_text(spec.values))
 
     result = train(spec.train, model, dataset)
     result.metrics.write_csv(out / "metrics.csv")
@@ -105,8 +109,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_run_operator(checkpoint, values: dict) -> None:
+    """Refuse to score a checkpoint with another operator than its run used."""
+    run_config = Path(checkpoint).with_name("config.txt")
+    if not run_config.exists():
+        return
+    trained = resolve_config(run_config.read_text(encoding="utf-8"))
+    for key in ("prune.operator", "prune.p"):
+        if trained[key] != values[key]:
+            raise ConfigError(
+                f"{key} is {values[key]!r} but {run_config} says the checkpoint "
+                f"was trained with {trained[key]!r}"
+            )
+
+
 def cmd_eval(args) -> int:
     values = _resolved(args)
+    _check_run_operator(args.checkpoint, values)
     records = load_checkpoint(args.checkpoint)
     dataset = load_dataset(build_descriptor(values), expected_classes=values["model.classes"])
     model = build_model_for(values, dataset.input_shape, values["run.seed"])
@@ -276,7 +295,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# mallopt parameter numbers from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Let freed arrays stay in the heap for the next training step.
+
+    Each step allocates and frees the same few MB of arrays. glibc's mmap and
+    heap-trim thresholds start at 128 KiB and only grow to the size (and twice
+    the size) of the largest mmapped block freed so far, so unless the run
+    happens to free a large block early, those pages go back to the system
+    and are faulted in again every step. Fix both thresholds at the values
+    glibc's own adaptive rule reaches after freeing a 32 MiB block.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (ValueError, OSError):  # not glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,6 +31,11 @@ __all__ = [
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+# Float64 values of blob noise drawn per block (512 KiB), so synthesis needs
+# the float32 output plus a fixed working set rather than whole-dataset
+# float64 temporaries.
+BLOB_BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class DatasetDescriptor:
@@ -116,7 +121,8 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tup
     if len(img_blob) > expected:
         raise FormatError(f"{images_path}: {len(img_blob) - expected} trailing bytes at offset {expected}")
     images = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    images = images.reshape(count, 1, rows, cols).astype(np.float32) / 255.0
+    images = images.reshape(count, 1, rows, cols).astype(np.float32)
+    images /= 255.0
 
     lbl_blob = Path(labels_path).read_bytes()
     _, lbl_count = _read_header(lbl_blob, 2, labels_path, IDX_LABELS_MAGIC)
@@ -152,16 +158,25 @@ def synth_blobs(desc: DatasetDescriptor) -> tuple[Tensor, np.ndarray]:
         raise ConfigError(f"synth_blobs needs a blobs descriptor, got kind {desc.kind!r}")
     rng = np.random.default_rng(mix_seed(desc.seed, DATA_STREAM))
     centers = rng.standard_normal((desc.classes, desc.dims))
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diffs ** 2).sum(axis=2))
+    dist = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
     min_dist = dist[~np.eye(desc.classes, dtype=bool)].min()
     if min_dist == 0.0:
         raise ValueError("degenerate blob centers: two classes coincide")
     centers /= min_dist
 
     labels = np.arange(desc.samples, dtype=np.int64) % desc.classes
-    points = centers[labels] + desc.noise * rng.standard_normal((desc.samples, desc.dims))
-    return Tensor(points.astype(np.float32)), labels
+    # The noise is drawn a block of rows at a time straight into a float32
+    # output. The generator yields the same stream in chunks as in one call,
+    # and each point is still the float64 sum rounded once to float32.
+    points = np.empty((desc.samples, desc.dims), dtype=np.float32)
+    rows = max(1, BLOB_BLOCK_VALUES // desc.dims)
+    for start in range(0, desc.samples, rows):
+        stop = min(start + rows, desc.samples)
+        block = rng.standard_normal((stop - start, desc.dims))
+        block *= desc.noise
+        block += centers[labels[start:stop]]
+        points[start:stop] = block
+    return Tensor(points), labels
 
 
 def load_dataset(desc: DatasetDescriptor,

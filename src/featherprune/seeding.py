@@ -17,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 INIT_STREAM = 0
 # Dataset synthesis gets a stream far above any plausible epoch index so it
@@ -26,9 +29,9 @@ DATA_STREAM = 1 << 32
 
 def splitmix64(state: int) -> int:
     """One splitmix64 step: returns the output for the given state."""
-    z = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (state + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -45,16 +48,21 @@ def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     """Training-data order for one epoch, as an index permutation of length n."""
     if n <= 0:
         raise ValueError(f"permutation length must be positive, got {n}")
-    state = mix_seed(seed, shuffle_stream(epoch))
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        j = (z ^ (z >> 31)) % (i + 1)
+    # Step k of the stream has state seed_state + k * gamma (mod 2^64), so all
+    # n - 1 splitmix64 outputs are computed at once in wrapping uint64
+    # arithmetic; only the swaps, which depend on each other, run in Python.
+    state = np.uint64(mix_seed(seed, shuffle_stream(epoch)))
+    z = np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA) + state
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z %= np.arange(n, 1, -1, dtype=np.uint64)
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), z.tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def init_rng(seed: int) -> np.random.Generator:

@@ -28,6 +28,10 @@ POWER = "powerp"
 
 _KINDS = (SOFT, HARD, POWER)
 
+# Survivors evaluated per block by the power-p branch: its float64
+# temporaries (128 KiB each) stay in L2 whatever the survivor count.
+POWER_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ThresholdOperator:
@@ -88,20 +92,25 @@ def apply_threshold(
         # r = |w|/T >= 1, which avoids overflow of |w|^p for large p. The
         # underflow of r^-p for very large r is benign: it lands on the hard
         # limit |w| exactly. Only the surviving entries are gathered (by flat
-        # index), evaluated in float64 and scattered into zeros: at high
-        # sparsity they are a small share of the matrix, and each value is
+        # index) and evaluated in float64, a fixed-size block of them at a
+        # time so the float64 temporaries stay small; each value is
         # bit-for-bit what a pass over the whole matrix would give.
         p = op.p
         kept = np.flatnonzero(mask)
-        kept_magnitude = np.take(magnitude, kept).astype(np.float64)
-        with np.errstate(over="ignore"):
-            ratio = kept_magnitude / threshold
-            scaled = threshold * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
-        # A subnormal threshold can overflow the ratio; there the bias T is far
-        # below one float32 ulp of |w|, so the exact answer is |w| itself.
-        scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
+        flat_w = w.reshape(-1)
+        flat_magnitude = magnitude.reshape(-1)
         pruned = np.zeros(w.shape, dtype=w.dtype)
-        np.put(pruned, kept, np.sign(np.take(w, kept)) * scaled.astype(w.dtype, copy=False))
+        flat_pruned = pruned.reshape(-1)
+        for start in range(0, kept.size, POWER_BLOCK):
+            index = kept[start : start + POWER_BLOCK]
+            kept_magnitude = flat_magnitude[index].astype(np.float64)
+            with np.errstate(over="ignore"):
+                ratio = kept_magnitude / threshold
+                scaled = threshold * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
+            # A subnormal threshold can overflow the ratio; there the bias T is
+            # far below one float32 ulp of |w|, so the exact answer is |w|.
+            scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
+            flat_pruned[index] = np.sign(flat_w[index]) * scaled.astype(w.dtype, copy=False)
         return pruned, mask
 
     pruned = np.where(mask, surviving, w.dtype.type(0.0))

@@ -29,6 +29,7 @@ from .backbones import (
     cubic_sparsity,
     measured_sparsity,
 )
+from .checkpoint import atomic_open
 from .errors import NonFiniteError, TrainingDivergedError
 from .feather import GradScalePolicy, PruneLayerState, feather_backward, feather_forward, select_theta
 from .models import Model
@@ -109,7 +110,7 @@ class RunMetrics:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv())
 
     @staticmethod

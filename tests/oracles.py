@@ -160,3 +160,39 @@ def conv2d_im2col_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padd
         return np.ascontiguousarray(dx), (g_mat.T @ cols).reshape(f, c, kh, kw)
 
     return out, backward, np.shares_memory(cols, padded)
+
+
+def epoch_permutation_reference(state: int, n: int) -> np.ndarray:
+    """The scalar Fisher-Yates loop the library's ``epoch_permutation`` replaced.
+
+    ``state`` is the already-mixed stream state; each step advances it by the
+    splitmix64 gamma, mixes it, and swaps position i with ``z % (i + 1)``.
+    """
+    mask = (1 << 64) - 1
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        j = (z ^ (z >> 31)) % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def synth_blobs_one_shot(rng_seed: int, classes: int, dims: int, samples: int,
+                         noise: float):
+    """The blob generator body that ``synth_blobs`` replaced: all the noise in
+    one draw, the float64 points in one array, then one float32 copy.
+
+    ``rng_seed`` is the already-mixed generator seed. Returns the float32
+    points and the int64 labels.
+    """
+    rng = np.random.default_rng(rng_seed)
+    centers = rng.standard_normal((classes, dims))
+    diffs = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt((diffs ** 2).sum(axis=2))
+    centers /= dist[~np.eye(classes, dtype=bool)].min()
+    labels = np.arange(samples, dtype=np.int64) % classes
+    points = centers[labels] + noise * rng.standard_normal((samples, dims))
+    return points.astype(np.float32), labels

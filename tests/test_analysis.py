@@ -91,6 +91,21 @@ class TestMaskPearson:
             assert r == (1.0 if np.array_equal(a, b) else 0.0)
 
 
+class TestMaskPearsonBits:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_bool_inputs_match_float64_corrcoef(self, seed, n):
+        # corrcoef converts bools itself; the value must not move by a bit
+        rng = np.random.default_rng(seed)
+        a = rng.random(n) < rng.random()
+        b = rng.random(n) < rng.random()
+        if a.all() or not a.any() or b.all() or not b.any() or np.array_equal(a, b):
+            return
+        want = max(-1.0, min(1.0, float(np.corrcoef(a.astype(np.float64),
+                                                    b.astype(np.float64))[0, 1])))
+        assert float(mask_pearson(a, b)) == want
+
+
 class TestStabilityCurve:
     def test_final_point_is_exactly_one(self):
         rng = np.random.default_rng(0)

@@ -26,6 +26,8 @@ from featherprune.errors import FormatError
 from featherprune.models import build_mlp
 from featherprune.seeding import init_rng
 
+from memtrace import peak_bytes
+
 
 def sample_records():
     return {
@@ -121,6 +123,48 @@ class TestSaveValidation:
     def test_float_mask_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="bool or u8"):
             save_checkpoint(tmp_path / "x.fthr", {"a/mask": np.float32([1.0])})
+
+    def test_bad_record_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "final.fthr"
+        save_checkpoint(path, sample_records())
+        before = path.read_bytes()
+        records = {"a/weight": np.float32([1.0]), "a/bias": np.float32([2.0]),
+                   "b/weight": np.array([3.0]), "b/bias": np.float32([4.0])}
+        with pytest.raises(ValueError, match="'b/weight' must be float32"):
+            save_checkpoint(path, records)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final.fthr"]
+
+    def test_failure_mid_write_removes_temp_file(self, tmp_path):
+        # the unencodable name is only met while streaming, after the header
+        path = tmp_path / "final.fthr"
+        save_checkpoint(path, sample_records())
+        before = path.read_bytes()
+        records = {"a/weight": np.float32([1.0]), "b\udcff/weight": np.float32([2.0])}
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(path, records)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final.fthr"]
+
+
+class TestStreamedWrite:
+    def test_peak_memory_is_largest_record(self, tmp_path):
+        # records go to the file one at a time: only a bool mask (converted to
+        # u8) or a non-contiguous record is copied, never the whole payload
+        rng = np.random.default_rng(0)
+        records = {
+            "fc0/weight": rng.standard_normal((784, 300)).astype(np.float32),
+            "fc0/mask": rng.random((784, 300)) < 0.5,
+            "fc1/weight": rng.standard_normal((100, 300)).astype(np.float32).T,
+            "fc1/mask": np.ones((300, 100), dtype=np.uint8),
+        }
+        path = tmp_path / "big.fthr"
+        save_checkpoint(path, records)  # numpy's one-off first-call allocations
+        _, peak = peak_bytes(save_checkpoint, path, records)
+        assert peak <= max(arr.nbytes for arr in records.values()) + 64 * 1024
+        loaded = load_checkpoint(path)
+        for name, arr in records.items():
+            assert loaded[name].tobytes() == np.asarray(arr).astype(loaded[name].dtype).tobytes()
 
 
 class TestLoadErrors:

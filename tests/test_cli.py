@@ -4,12 +4,15 @@ Runs go through main(argv) in-process so exit codes and stderr are cheap to
 assert; one test exercises the installed console script for real.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import featherprune
 from featherprune.checkpoint import load_checkpoint, model_records, save_checkpoint
 from featherprune.cli import main
 from featherprune.config import resolve_config
@@ -59,6 +62,13 @@ class TestTrain:
         for name in ("metrics.csv", "final.fthr", "masks.bin", "config.txt"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
+
+    def test_run_dir_holds_only_artifacts(self, tmp_path):
+        # artifacts are written through temp files that are renamed into place
+        run_train(tmp_path / "a")
+        run_train(tmp_path / "a")
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+            ["config.txt", "final.fthr", "masks.bin", "metrics.csv"]
 
     def test_seed_flag_lands_in_config(self, tmp_path):
         run_train(tmp_path, extra=["--seed", "7"])
@@ -125,6 +135,32 @@ class TestEval:
                      "--out", str(report), *BASE])
         assert code == 0
         assert report.read_text().startswith("metric,value\nval_top1,")
+
+    @pytest.mark.parametrize("override,named", [
+        ("prune.operator=soft", ("'soft'", "'powerp'")),
+        ("prune.p=2", ("2.0", "3.0")),
+    ])
+    def test_operator_mismatch_with_run_config_is_config_error(self, tmp_path, capsys,
+                                                                override, named):
+        run_train(tmp_path / "run")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"),
+                     *BASE, "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and override.split("=")[0] in err
+        for value in named:
+            assert value in err
+
+    def test_matching_run_config_keeps_val_top1(self, tmp_path, capsys):
+        run_train(tmp_path / "run")
+        args = ["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE]
+        capsys.readouterr()
+        assert main(args) == 0
+        checked = capsys.readouterr().out
+        (tmp_path / "run" / "config.txt").unlink()
+        assert main(args) == 0
+        assert capsys.readouterr().out == checked
 
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.fthr"), *BASE])
@@ -299,3 +335,34 @@ def test_console_script_end_to_end(tmp_path):
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "r" / "final.fthr").exists()
     assert "val_top1=" in result.stdout
+
+
+def _is_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="malloc thresholds are a glibc setting")
+def test_main_keeps_freed_arrays_in_the_heap(tmp_path):
+    # A training step frees and reallocates the same MB-sized arrays; after
+    # main() starts they must come back from the heap, not as fresh pages.
+    code = f"""
+import resource, numpy as np
+from featherprune.cli import main
+assert main(["analyze-masks", "--masks", {str(tmp_path / "missing.bin")!r}]) == 1
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones(1 << 19); b = np.ones(1 << 19); del a, b
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults()
+print(max(faults() for _ in range(4)))
+"""
+    src = str(Path(featherprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    # two fresh 4 MiB arrays would be ~2000 page faults
+    assert int(result.stdout.split()[-1]) < 100

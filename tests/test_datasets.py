@@ -12,13 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featherprune import datasets
 from featherprune.datasets import (
+    BLOB_BLOCK_VALUES,
     DatasetDescriptor,
     load_dataset,
     load_idx,
     synth_blobs,
 )
 from featherprune.errors import ConfigError, FormatError
+from featherprune.seeding import DATA_STREAM, mix_seed
+
+from memtrace import peak_bytes
+from oracles import synth_blobs_one_shot
 
 
 def idx_images(images):
@@ -127,6 +133,19 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match=message):
             load_dataset(desc)
 
+    def test_pixels_decoded_in_place(self, tmp_path):
+        # one float32 copy of the pixels: a second whole-file temporary fails
+        count, side = 1000, 28
+        pixels = np.random.default_rng(0).integers(0, 256, (count, side, side), dtype=np.uint8)
+        img = tmp_path / "i.idx"
+        lbl = tmp_path / "l.idx"
+        img.write_bytes(idx_images(pixels))
+        lbl.write_bytes(idx_labels(np.zeros(count)))
+        (x, _), peak = peak_bytes(load_idx, img, lbl)
+        assert x.data.tobytes() == (pixels.reshape(count, 1, side, side)
+                                    .astype(np.float32) / 255.0).tobytes()
+        assert peak <= img.stat().st_size + x.data.nbytes + 64 * 1024
+
     def test_label_out_of_class_range(self, idx_pair):
         img_path, lbl_path, _, _ = idx_pair
         with pytest.raises(ValueError, match="label 7 out of range"):
@@ -216,6 +235,34 @@ class TestSynthBlobs:
         assert x.data.dtype == np.float32
         assert y.dtype == np.int64
         assert x.data.shape == (31, 8)
+
+    @pytest.mark.parametrize("samples,dims", [(200, 784), (3, BLOB_BLOCK_VALUES + 7)],
+                             ids=["rows_not_multiple_of_block", "dims_wider_than_block"])
+    def test_matches_one_shot_generator(self, samples, dims):
+        desc = blob_desc(samples=samples, dims=dims, classes=3, noise=0.3, seed=5)
+        x, y = synth_blobs(desc)
+        want_x, want_y = synth_blobs_one_shot(mix_seed(5, DATA_STREAM), 3, dims, samples, 0.3)
+        assert x.data.tobytes() == want_x.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 8, 24, 31 * 8, 32 * 8])
+    def test_block_edges_match_one_shot_generator(self, monkeypatch, block):
+        # dims=8, samples=31: blocks narrower than a row, of exactly one row,
+        # of three rows (31 is not a multiple), of all rows, and larger
+        monkeypatch.setattr(datasets, "BLOB_BLOCK_VALUES", block)
+        x, y = synth_blobs(blob_desc(seed=9))
+        want_x, want_y = synth_blobs_one_shot(mix_seed(9, DATA_STREAM), 3, 8, 31, 0.1)
+        assert x.data.tobytes() == want_x.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        # mlp_extreme's dataset; whole-dataset float64 temporaries fail this
+        desc = blob_desc(samples=5120, dims=784, classes=10, noise=0.3, seed=1)
+        synth_blobs(desc)  # numpy's one-off first-call allocations are not the generator's
+        (x, y), peak = peak_bytes(synth_blobs, desc)
+        block_bytes = 8 * BLOB_BLOCK_VALUES
+        # the noise block and its gathered centers, plus labels and centers
+        assert peak <= x.data.nbytes + 2 * block_bytes + y.nbytes + 256 * 1024
 
     def test_rejects_idx_descriptor(self, tmp_path):
         img = tmp_path / "i.idx"

@@ -19,7 +19,7 @@ from featherprune.seeding import (
     shuffle_stream,
 )
 
-from oracles import splitmix64_reference
+from oracles import epoch_permutation_reference, splitmix64_reference
 
 
 class TestSplitmix64:
@@ -90,6 +90,17 @@ class TestEpochPermutation:
     def test_always_valid(self, seed, epoch, n):
         perm = epoch_permutation(seed, epoch, n)
         assert np.array_equal(np.sort(perm), np.arange(n))
+        want = epoch_permutation_reference(mix_seed(seed, shuffle_stream(epoch)), n)
+        assert perm.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 4096, 4800, 60000])
+    def test_matches_scalar_fisher_yates(self, seed, n):
+        # the vectorised splitmix64 draws must wrap exactly like the scalar loop
+        want = epoch_permutation_reference(mix_seed(seed, shuffle_stream(3)), n)
+        got = epoch_permutation(seed, 3, n)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestInitRng:

@@ -12,7 +12,14 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from featherprune.errors import NonFiniteError
-from featherprune.thresholding import ThresholdOperator, apply_threshold, select_threshold
+from featherprune.thresholding import (
+    POWER_BLOCK,
+    ThresholdOperator,
+    apply_threshold,
+    select_threshold,
+)
+
+from memtrace import peak_bytes
 
 P3 = ThresholdOperator.power(3.0)
 SOFT = ThresholdOperator.soft()
@@ -214,6 +221,36 @@ class TestSurvivorOnlyPowerP:
         pruned, mask = apply_threshold(w, 0.5, P3)
         assert pruned.tobytes() == np.zeros_like(w).tobytes()
         assert not mask.any()
+
+    @pytest.mark.parametrize("survivors", [0, 1, POWER_BLOCK - 1, POWER_BLOCK,
+                                           POWER_BLOCK + 1, 2 * POWER_BLOCK + 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_survivor_counts_at_block_edges(self, survivors, layout):
+        rng = np.random.default_rng(survivors)
+        t = 0.25
+        w = rng.uniform(-t, t, (96, 4 * POWER_BLOCK // 96)).astype(np.float32)
+        flat = w.reshape(-1)
+        kept = rng.choice(flat.size, survivors, replace=False)
+        flat[kept] = (rng.uniform(t, 4.0, survivors) * rng.choice([-1, 1], survivors))
+        if layout == "transposed":
+            w = w.T
+        assert int((np.abs(w) > t).sum()) == survivors
+        for p in (3.0, 8.0):
+            self.assert_matches_full_matrix(w, t, p)
+
+    @pytest.mark.parametrize("sparsity", [0.01, 0.27, 0.5])
+    def test_float64_working_set_is_one_block(self, sparsity):
+        # fc0 of the 784-300-100-10 MLP. Beyond the per-entry arrays (|w|, the
+        # mask, the result) and the int64 survivor index, the float64 steps may
+        # hold a few blocks, however many entries survive; evaluating all the
+        # survivors at once fails this from S=0.27 down.
+        w = np.random.default_rng(0).standard_normal((784, 300)).astype(np.float32)
+        t = float(np.quantile(np.abs(w), sparsity))
+        apply_threshold(w, t, P3)  # numpy's one-off first-call allocations
+        (pruned, mask), peak = peak_bytes(apply_threshold, w, t, P3)
+        survivors = int(mask.sum())
+        per_entry = pruned.nbytes + mask.nbytes + np.abs(w).nbytes
+        assert peak <= per_entry + 8 * survivors + 8 * 8 * POWER_BLOCK
 
 
 class TestSelectThreshold:
