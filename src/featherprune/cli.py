@@ -43,8 +43,8 @@ from .config import (
 )
 from .datasets import DatasetDescriptor, _read_image_header, load_dataset
 from .errors import ConfigError, FormatError, TrainingDivergedError
-from .tensor import Tensor
-from .thresholding import apply_threshold
+from .feather import PruneLayerState, feather_forward
+from .thresholding import apply_threshold  # noqa: F401 - unused; perfbench's tracer patches this name
 from .trainer import evaluate_top1, train
 
 __all__ = ["main", "run_spec"]
@@ -109,13 +109,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_run_operator(checkpoint, values: dict) -> None:
-    """Refuse to score a checkpoint with another operator than its run used."""
+def _check_run_config(checkpoint, values: dict, keys) -> None:
+    """Refuse a checkpoint whose run's ``config.txt`` has other ``keys`` values."""
     run_config = Path(checkpoint).with_name("config.txt")
     if not run_config.exists():
         return
     trained = resolve_config(run_config.read_text(encoding="utf-8"))
-    for key in ("prune.operator", "prune.p"):
+    for key in keys:
         if trained[key] != values[key]:
             raise ConfigError(
                 f"{key} is {values[key]!r} but {run_config} says the checkpoint "
@@ -125,20 +125,20 @@ def _check_run_operator(checkpoint, values: dict) -> None:
 
 def cmd_eval(args) -> int:
     values = _resolved(args)
-    _check_run_operator(args.checkpoint, values)
+    _check_run_config(args.checkpoint, values, ("prune.operator", "prune.p"))
     records = load_checkpoint(args.checkpoint)
     dataset = load_dataset(build_descriptor(values), expected_classes=values["model.classes"])
     model = build_model_for(values, dataset.input_shape, values["run.seed"])
     restore_model(model, records)
     op = build_operator(values)
-    overrides = {}
-    for layer in model.layers:
-        key = f"{layer.name}/threshold"
-        if key in records:
-            pruned, _ = apply_threshold(layer.weight.data, float(records[key][0]), op)
-            overrides[id(layer)] = Tensor(pruned)
+    overrides = {
+        id(layer): feather_forward(PruneLayerState(
+            layer.name, layer.kind, layer.weight, op,
+            threshold=float(records[f"{layer.name}/threshold"][0])))
+        for layer in model.layers if f"{layer.name}/threshold" in records
+    }
     acc = evaluate_top1(model, dataset.val_x, dataset.val_y,
-                        values["train.batch_size"], overrides or None)
+                        values["train.batch_size"], overrides)
     _emit(f"metric,value\nval_top1,{acc!r}\n", args.out)
     return 0
 
@@ -209,7 +209,8 @@ def cmd_sweep(args) -> int:
         mean = float(np.mean(accs)) if accs else math.nan
         std = float(np.std(accs)) if accs else math.nan
         lines.append(",".join(list(combo) + [str(len(accs)), repr(mean), repr(std), str(failures)]))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(out / "sweep.csv", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"sweep: {len(cells)} cells x {len(seeds)} seeds -> {out / 'sweep.csv'}")
     return 0
 
@@ -236,6 +237,8 @@ def cmd_analyze_masks(args) -> int:
 
 def cmd_flops(args) -> int:
     values = _resolved(args)
+    _check_run_config(args.checkpoint, values,
+                      ("model.arch", "model.hidden", "model.channels", "model.classes"))
     records = load_checkpoint(args.checkpoint)
     shape = _input_shape(build_descriptor(values))
     model = build_model_for(values, shape, values["run.seed"])

@@ -12,6 +12,10 @@ theta = 1 recovers the standard straight-through update, theta = 0 blocks all
 gradient flow to pruned weights. Intermediate values damp mask churn, which
 matters at extreme sparsity; the automatic policy picks 1.0 for moderate final
 sparsity targets and drops to 0.5 for targets at or above 95%.
+
+``feather_forward`` records the whole block as one op on the active tape, so
+``Tape.backward`` fills the dense weights' ``grad``; with no tape it returns a
+constant, which is what evaluation uses.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tape, Tensor
 from .thresholding import ThresholdOperator, apply_threshold
 
 __all__ = [
@@ -34,6 +38,8 @@ __all__ = [
 
 FIXED = "fixed"
 AUTO_STEP = "auto_step"
+AUTO_SPARSITY_CUTOFF = 0.95
+AUTO_LOW_THETA = 0.5
 
 
 @dataclass
@@ -64,26 +70,18 @@ class PruneLayerState:
 class GradScalePolicy:
     """How theta is chosen from the final sparsity target.
 
-    ``fixed`` always uses ``theta``; ``auto_step`` uses 1.0 below the sparsity
-    cutoff and ``low_theta`` at or above it.
+    ``fixed`` always uses ``theta``; ``auto_step`` uses 1.0 below
+    ``AUTO_SPARSITY_CUTOFF`` and ``AUTO_LOW_THETA`` at or above it.
     """
 
     mode: str = AUTO_STEP
     theta: float = 1.0
-    threshold_sparsity: float = 0.95
-    low_theta: float = 0.5
 
     def __post_init__(self):
         if self.mode not in (FIXED, AUTO_STEP):
             raise ValueError(f"unknown grad-scale mode {self.mode!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
-        if not 0.0 <= self.low_theta <= 1.0:
-            raise ValueError(f"low_theta must be in [0, 1], got {self.low_theta}")
-        if not 0.0 < self.threshold_sparsity < 1.0:
-            raise ValueError(
-                f"threshold_sparsity must be in (0, 1), got {self.threshold_sparsity}"
-            )
 
 
 def select_theta(policy: GradScalePolicy, final_sparsity: float) -> float:
@@ -92,21 +90,41 @@ def select_theta(policy: GradScalePolicy, final_sparsity: float) -> float:
         raise ValueError(f"final sparsity must be in [0, 1], got {final_sparsity}")
     if policy.mode == FIXED:
         return policy.theta
-    return 1.0 if final_sparsity < policy.threshold_sparsity else policy.low_theta
+    return 1.0 if final_sparsity < AUTO_SPARSITY_CUTOFF else AUTO_LOW_THETA
+
+
+def _scale_pruned(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
+    """``grad`` scaled by theta off ``mask``; theta = 1 returns ``grad`` itself."""
+    if theta == 1.0:
+        return grad
+    # max(mask, theta) is 1 where the mask is set and theta elsewhere, as
+    # 0 <= theta <= 1; unlike np.where(mask, 1, theta) its cost does not
+    # depend on how the mask's bits are spread.
+    scale = mask.astype(np.float32)
+    np.maximum(scale, np.float32(theta), out=scale)
+    return grad * scale
 
 
 def feather_forward(state: PruneLayerState) -> Tensor:
     """Threshold the dense weights for this layer's forward computation.
 
     Refreshes ``state.mask`` from the current weights and threshold and returns
-    the sparse weights as a gradient-tracking leaf tensor. The dense weights
-    are untouched.
+    the sparse weights; the dense weights are untouched. Under a tape, if the
+    dense weights require a gradient, the output's recorded backward passes its
+    gradient to them with this pass's pruned entries scaled by ``state.theta``.
+    Otherwise the output is a constant.
     """
     if state.threshold is None:
         raise ValueError(f"layer {state.name!r} has no threshold assigned")
     pruned, mask = apply_threshold(state.weights.data, state.threshold, state.op)
     state.mask = mask
-    return Tensor(pruned, requires_grad=True)
+    tape = Tape.current()
+    if tape is None or not state.weights.requires_grad:
+        return Tensor(pruned)
+    out = Tensor(pruned, requires_grad=True)
+    weights, theta = state.weights, state.theta
+    tape.record(out, lambda g: [(weights, _scale_pruned(g, mask, theta))])
+    return out
 
 
 def feather_backward(state: PruneLayerState, grad_wrt_sparse: np.ndarray) -> np.ndarray:
@@ -123,14 +141,5 @@ def feather_backward(state: PruneLayerState, grad_wrt_sparse: np.ndarray) -> np.
         raise ValueError(
             f"gradient shape {grad.shape} does not match mask shape {state.mask.shape}"
         )
-    if state.theta == 1.0:
-        dense_grad = grad
-    else:
-        # max(mask, theta) is 1 where the mask is set and theta elsewhere, as
-        # 0 <= theta <= 1; unlike np.where(mask, 1, theta) its cost does not
-        # depend on how the mask's bits are spread.
-        scale = state.mask.astype(np.float32)
-        np.maximum(scale, np.float32(state.theta), out=scale)
-        dense_grad = grad * scale
-    state.weights.grad = dense_grad
-    return dense_grad
+    state.weights.grad = _scale_pruned(grad, state.mask, state.theta)
+    return state.weights.grad

@@ -4,7 +4,8 @@ Layers hold their parameters as plain tensors; pruning state lives outside
 the model (see :mod:`featherprune.feather`). ``Model.forward`` accepts an
 optional mapping from layer to a substitute weight tensor, which is how the
 sparse training loop injects thresholded weights without touching the dense
-parameters.
+parameters. In training each substitute is the output of ``feather_forward``'s
+recorded op, so the tape carries the gradient through it to the dense weights.
 """
 
 from __future__ import annotations

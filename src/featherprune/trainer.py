@@ -4,6 +4,7 @@ Per epoch the loop: refreshes the requested sparsity and per-layer thresholds,
 iterates seeded mini-batches (thresholded forward, reverse-mode backward,
 pruned-gradient scaling, SGD update), evaluates top-1 on the validation split
 using the thresholded weights (the deployed network), and snapshots the masks.
+Layers built with ``prunable=False`` get no prune state and train dense.
 
 Reproducibility contract: (config, seed, dataset) determines every emitted
 number bitwise. Data order, parameter init, and the learning-rate path are all
@@ -31,7 +32,8 @@ from .backbones import (
 )
 from .checkpoint import atomic_open
 from .errors import NonFiniteError, TrainingDivergedError
-from .feather import GradScalePolicy, PruneLayerState, feather_backward, feather_forward, select_theta
+from .feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
+from .feather import feather_backward  # noqa: F401 - unused; perfbench's tracer patches this name
 from .models import Model
 from .seeding import epoch_permutation
 from .tensor import Tape, Tensor, softmax_cross_entropy
@@ -192,16 +194,6 @@ def _layer_norms(model: Model) -> dict[str, float]:
     return {layer.name: float(np.linalg.norm(layer.weight.data)) for layer in model.layers}
 
 
-def _sparse_eval_state(pairs) -> tuple[dict, dict[str, np.ndarray]]:
-    overrides: dict = {}
-    masks: dict[str, np.ndarray] = {}
-    for layer, state in pairs:
-        pruned, mask = apply_threshold(state.weights.data, state.threshold, state.op)
-        overrides[id(layer)] = Tensor(pruned)
-        masks[state.name] = mask
-    return overrides, masks
-
-
 def _fill_pearson(records: list[EpochRecord], snapshots: list[MaskSnapshot]) -> None:
     for record, (_, r) in zip(records, stability_curve(snapshots)):
         record.mask_pearson_vs_final = r
@@ -210,9 +202,8 @@ def _fill_pearson(records: list[EpochRecord], snapshots: list[MaskSnapshot]) -> 
 def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
     """Sparse training under the configured backbone, operator, and policy."""
     pairs = [
-        (layer, PruneLayerState(layer.name, layer.kind, layer.weight, config.operator,
-                                prunable=layer.prunable))
-        for layer in model.layers
+        (layer, PruneLayerState(layer.name, layer.kind, layer.weight, config.operator))
+        for layer in model.layers if layer.prunable
     ]
     states = [state for _, state in pairs]
     theta = select_theta(config.grad_policy, config.schedule.final_sparsity)
@@ -242,20 +233,13 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             lr_t = cosine_lr(step, total_steps, config.lr, warmup_steps)
             try:
                 with Tape() as tape:
-                    overrides = {}
-                    sparse_tensors = []
-                    for layer, state in pairs:
-                        w_tilde = feather_forward(state)
-                        overrides[id(layer)] = w_tilde
-                        sparse_tensors.append((state, w_tilde))
+                    overrides = {id(layer): feather_forward(state) for layer, state in pairs}
                     logits = model.forward(Tensor(dataset.train_x[idx]), overrides)
                     loss = softmax_cross_entropy(logits, dataset.train_y[idx],
                                                  config.label_smoothing)
                     tape.backward(loss)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, batch_index, _layer_norms(model)) from exc
-            for state, w_tilde in sparse_tensors:
-                feather_backward(state, w_tilde.grad)
             for param in params:
                 sgd_step(param.data, param.grad, buffers[id(param)],
                          lr_t, config.momentum, config.weight_decay)
@@ -263,10 +247,10 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             loss_sum += loss.item() * len(idx)
             step += 1
 
-        eval_overrides, masks = _sparse_eval_state(pairs)
+        eval_overrides = {id(layer): feather_forward(state) for layer, state in pairs}
         val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y,
                                  config.batch_size, eval_overrides)
-        snapshots.append(MaskSnapshot(epoch, masks))
+        snapshots.append(MaskSnapshot(epoch, {state.name: state.mask for state in states}))
         metrics.records.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_train,

@@ -1,8 +1,10 @@
 """Independent float64 reference implementations used to freeze expected values.
 
-Nothing here imports the package under test. The forward passes are written
-the long way (explicit loops where that removes any shared structure with the
-library) so agreement is evidence, not tautology.
+Nothing here imports the package under test, except ``two_phase_ste_step``,
+which drives the package's tape and thresholding to replay a training step
+the way the package once ran it. The forward passes are written the long way
+(explicit loops where that removes any shared structure with the library) so
+agreement is evidence, not tautology.
 """
 
 import math
@@ -196,3 +198,31 @@ def synth_blobs_one_shot(rng_seed: int, classes: int, dims: int, samples: int,
     labels = np.arange(samples, dtype=np.int64) % classes
     points = centers[labels] + noise * rng.standard_normal((samples, dims))
     return points.astype(np.float32), labels
+
+
+def two_phase_ste_step(model, thresholds: dict, op, theta: float, x: np.ndarray,
+                       labels: np.ndarray):
+    """The sparse training step before the straight-through scaling became a
+    recorded op: every layer's weights thresholded into a gradient-tracking
+    leaf, one tape sweep, then the leaf's gradient scaled by
+    ``np.where(mask, 1, theta)`` and installed on the dense weights by hand.
+
+    ``thresholds`` maps layer names to thresholds. Calls neither
+    ``feather_forward`` nor ``feather_backward``. Fills ``grad`` on every
+    parameter of ``model`` and returns the loss tensor.
+    """
+    from featherprune.tensor import Tape, Tensor, softmax_cross_entropy
+    from featherprune.thresholding import apply_threshold
+
+    leaves = {}
+    for layer in model.layers:
+        pruned, mask = apply_threshold(layer.weight.data, thresholds[layer.name], op)
+        leaves[id(layer)] = (Tensor(pruned, requires_grad=True), mask)
+    overrides = {key: leaf for key, (leaf, _) in leaves.items()}
+    with Tape() as tape:
+        loss = softmax_cross_entropy(model.forward(Tensor(x), overrides), labels)
+        tape.backward(loss)
+    for layer in model.layers:
+        leaf, mask = leaves[id(layer)]
+        layer.weight.grad = leaf.grad * np.where(mask, np.float32(1.0), np.float32(theta))
+    return loss

@@ -212,6 +212,17 @@ class TestFlops:
         total_dense, total_sparse = map(int, lines[-1].split(",")[1:])
         assert total_sparse == total_dense
 
+    def test_architecture_mismatch_with_run_config_is_config_error(self, tmp_path, capsys):
+        run_train(tmp_path / "run")
+        capsys.readouterr()
+        code = main(["flops", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE,
+                     "--set", "model.hidden=8,4"])  # fc0 and fc1 shapes still match
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no report, so no phantom dense fc2 row
+        assert captured.err.startswith("config error: model.hidden is [8, 4] but ")
+        assert captured.err.rstrip().endswith("trained with [8]")
+
     @pytest.mark.parametrize("header", [b"\x00\x00\x08\x03" + bytes(6),
                                         b"\x00\x00\x08\x01" + bytes(12),
                                         b"\x00\x00\x08\x03" + bytes(3) + b"\x01" + bytes(8)],
@@ -296,6 +307,24 @@ class TestSweep:
         args[1] = str(b)
         assert main(["sweep", *args, "--jobs", "2"]) == 0
         assert (a / "sweep.csv").read_text() == (b / "sweep.csv").read_text()
+
+    def test_failed_csv_write_keeps_old_csv_and_no_temp_file(self, tmp_path, monkeypatch):
+        args = ["sweep", "--out", str(tmp_path), *BASE,
+                "--axis", "prune.final_sparsity=0.5", "--seeds"]
+        assert main([*args, "0"]) == 0
+        before = (tmp_path / "sweep.csv").read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "sweep.csv":
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main([*args, "1"]) == 1
+        assert (tmp_path / "sweep.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "prune-final_sparsity_0.5", "sweep.csv"]
 
     def test_axis_required(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), *BASE]) == 2

@@ -18,8 +18,11 @@ from featherprune.feather import (
     feather_forward,
     select_theta,
 )
-from featherprune.tensor import Tensor
-from featherprune.thresholding import ThresholdOperator
+from featherprune.models import build_cnn, build_mlp
+from featherprune.seeding import init_rng
+from featherprune.tensor import Tape, Tensor, softmax_cross_entropy, sum_all
+from featherprune.thresholding import ThresholdOperator, select_threshold
+from oracles import two_phase_ste_step
 
 
 def make_state(weights, op=None, theta=1.0, threshold=None):
@@ -55,10 +58,6 @@ class TestSelectTheta:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="unknown grad-scale mode"):
             GradScalePolicy(mode="annealed")
-        with pytest.raises(ValueError, match="low_theta"):
-            GradScalePolicy(low_theta=1.5)
-        with pytest.raises(ValueError, match="threshold_sparsity"):
-            GradScalePolicy(threshold_sparsity=0.0)
 
 
 class TestPruneLayerState:
@@ -179,3 +178,63 @@ class TestFeatherBackward:
         np.testing.assert_array_equal(
             out[~mask], grad[~mask] * np.float32(theta)
         )
+
+
+class TestRecordedOp:
+    """``feather_forward`` under a tape against the manual two-phase step."""
+
+    @staticmethod
+    def build(arch):
+        if arch == "mlp":
+            return build_mlp(20, [16, 12], 4, init_rng(3))
+        return build_cnn((2, 9, 9), 4, init_rng(3), (3, 5))
+
+    @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_bytes_match_two_phase_step(self, arch, theta):
+        manual, recorded = self.build(arch), self.build(arch)
+        x = init_rng(4).standard_normal((8,) + manual.input_shape).astype(np.float32)
+        labels = np.arange(8) % 4
+        op = ThresholdOperator.power(3.0)
+        thresholds = {
+            layer.name: select_threshold(np.abs(layer.weight.data).ravel(), 0.6)
+            for layer in manual.layers
+        }
+        if arch == "cnn":
+            thresholds["conv1"] = 0.0  # the first conv exempt, as the uniform backbone does
+        want = two_phase_ste_step(manual, thresholds, op, theta, x, labels)
+
+        states = [PruneLayerState(layer.name, layer.kind, layer.weight, op, theta=theta,
+                                  threshold=thresholds[layer.name])
+                  for layer in recorded.layers]
+        with Tape() as tape:
+            overrides = {id(layer): feather_forward(state)
+                         for layer, state in zip(recorded.layers, states)}
+            loss = softmax_cross_entropy(recorded.forward(Tensor(x), overrides), labels)
+            tape.backward(loss)
+
+        assert all(not s.mask.all() for s in states if s.threshold > 0)
+        assert loss.data.tobytes() == want.data.tobytes()
+        for p_want, p_got in zip(manual.parameters(), recorded.parameters()):
+            assert p_got.grad.dtype == p_want.grad.dtype == np.float32
+            assert p_got.grad.tobytes() == p_want.grad.tobytes()
+
+    def test_without_tape_returns_constant(self):
+        state = make_state([0.5, 0.1], threshold=0.2)
+        out = feather_forward(state)
+        assert Tape.current() is None and out.requires_grad is False
+
+    def test_weights_without_grad_record_nothing(self):
+        state = make_state([0.5, 0.1], threshold=0.2)
+        state.weights.requires_grad = False
+        with Tape() as tape:
+            out = feather_forward(state)
+        assert out.requires_grad is False and tape._records == []
+
+    def test_backward_uses_its_forward_mask(self):
+        state = make_state([0.5, 0.1, -0.4], theta=0.5, threshold=0.2)
+        with Tape() as tape:
+            loss = sum_all(feather_forward(state))
+            state.mask = np.ones(3, dtype=bool)
+            tape.backward(loss)
+        assert state.weights.grad.tobytes() == np.float32([1.0, 0.5, 1.0]).tobytes()

@@ -264,6 +264,20 @@ class TestTrainLoop:
             _, mask = apply_threshold(state.weights.data, state.threshold, state.op)
             np.testing.assert_array_equal(mask, state.mask)
 
+    def test_non_prunable_layer_trains_dense(self):
+        from featherprune.checkpoint import model_records
+        data = small_dataset()
+        model = small_model()
+        head = model.layers[-1]
+        head.prunable = False
+        before = head.weight.data.copy()
+        result = train(small_config(epochs=3, final_sparsity=0.6), model, data)
+        assert [s.name for s in result.states] == ["fc0"]
+        assert all(set(s.masks) == {"fc0"} for s in result.snapshots)
+        assert not np.array_equal(head.weight.data, before)
+        records = model_records(model, result.states)
+        assert "fc1/threshold" not in records and "fc1/mask" not in records
+
 
 class TestMetricsCsv:
     def test_round_trip(self):
