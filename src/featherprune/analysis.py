@@ -52,27 +52,29 @@ def mask_pearson(a: np.ndarray, b: np.ndarray) -> PearsonResult:
     A constant vector has no defined correlation; that case returns 1.0 when
     the inputs are identical and 0.0 otherwise, with ``degenerate`` set.
     """
-    av = np.asarray(a).ravel().astype(bool)
-    bv = np.asarray(b).ravel().astype(bool)
+    av, bv = np.ravel(a), np.ravel(b)
     if av.size != bv.size:
         raise ValueError(f"mask length mismatch: {av.size} vs {bv.size}")
     if av.size < 2:
         raise ValueError("Pearson needs at least 2 entries")
-    if bool(av.all() or (~av).all() or bv.all() or (~bv).all()):
+    # One (2, N) bool pair: corrcoef makes its single float64 copy from it,
+    # where corrcoef(a, b) would convert each vector and then stack them.
+    pair = np.empty((2, av.size), dtype=bool)
+    pair[0], pair[1] = av, bv
+    av, bv = pair
+    if not (av.any() and bv.any()) or av.all() or bv.all():
         return PearsonResult(1.0 if np.array_equal(av, bv) else 0.0, degenerate=True)
     if np.array_equal(av, bv):
         # corrcoef can land one ulp under 1.0; identical masks are exactly 1.
         return PearsonResult(1.0)
-    # corrcoef converts the bools to float64 itself, once, into its stacked copy.
-    r = float(np.corrcoef(av, bv)[0, 1])
+    r = float(np.corrcoef(pair)[0, 1])
     return PearsonResult(max(-1.0, min(1.0, r)))
 
 
 def _concat_masks(snapshot: MaskSnapshot) -> np.ndarray:
     if not snapshot.masks:
         raise ValueError(f"snapshot for epoch {snapshot.epoch} holds no masks")
-    return np.concatenate([np.asarray(m).ravel().astype(bool)
-                           for m in snapshot.masks.values()])
+    return np.concatenate([np.ravel(m) for m in snapshot.masks.values()]).astype(bool, copy=False)
 
 
 def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:

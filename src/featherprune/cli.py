@@ -92,7 +92,8 @@ def _input_shape(desc: DatasetDescriptor) -> tuple:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with atomic_open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

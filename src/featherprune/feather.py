@@ -14,7 +14,8 @@ matters at extreme sparsity; the automatic policy picks 1.0 for moderate final
 sparsity targets and drops to 0.5 for targets at or above 95%.
 
 ``feather_forward`` records the whole block as one op on the active tape, so
-``Tape.backward`` fills the dense weights' ``grad``; with no tape it returns a
+``Tape.backward`` fills the dense weights' ``grad`` and keeps the gradient
+w.r.t. the sparse weights on the op's output; with no tape it returns a
 constant, which is what evaluation uses.
 """
 
@@ -112,6 +113,7 @@ def feather_forward(state: PruneLayerState) -> Tensor:
     the sparse weights; the dense weights are untouched. Under a tape, if the
     dense weights require a gradient, the output's recorded backward passes its
     gradient to them with this pass's pruned entries scaled by ``state.theta``.
+    That backward also keeps the incoming gradient as the output's ``grad``.
     Otherwise the output is a constant.
     """
     if state.threshold is None:
@@ -123,7 +125,15 @@ def feather_forward(state: PruneLayerState) -> Tensor:
         return Tensor(pruned)
     out = Tensor(pruned, requires_grad=True)
     weights, theta = state.weights, state.theta
-    tape.record(out, lambda g: [(weights, _scale_pruned(g, mask, theta))])
+
+    def backward_fn(g: np.ndarray):
+        # The tape keeps no op output's gradient; this one is kept on purpose,
+        # as the gradient w.r.t. the sparse weights. At theta = 1 the array
+        # itself goes on to the dense weights, so the output keeps a copy.
+        out.accumulate_grad(g, copy=theta == 1.0)
+        return [(weights, _scale_pruned(g, mask, theta))]
+
+    tape.record(out, backward_fn)
     return out
 
 

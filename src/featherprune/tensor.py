@@ -11,7 +11,8 @@ bias, relu and reshape steps after a convolution run on contiguous memory.
 Gradients are recorded on an explicit :class:`Tape`: each operation executed
 while a tape is active appends one record, and ``Tape.backward(loss)`` replays
 the records once, in reverse order, accumulating gradients additively into
-every ``requires_grad`` tensor reachable from the loss.
+every ``requires_grad`` leaf reachable from the loss. Op outputs pass their
+gradient on without keeping it.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ class Tensor:
             raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray, copy: bool = True) -> None:
         """Add ``g`` into ``grad``. With ``copy=False`` a float32 ``g`` may
         become ``grad`` itself; the caller vouches that nothing else holds it."""
@@ -120,9 +118,14 @@ class Tape:
         self._outputs.add(id(output))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every requires_grad tensor reachable from loss.
+        """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
-        Gradients accumulate additively: calling backward twice doubles them.
+        Leaves are tensors no record produced: parameters, and inputs created
+        with ``requires_grad``. Op outputs pass their gradient on to their
+        inputs without keeping it, so their ``grad`` stays None; a recorded
+        backward that wants its output's gradient kept sets it itself, as
+        ``feather_forward`` does. Gradients accumulate additively: calling
+        backward twice doubles them.
         """
         if loss.data.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -131,26 +134,11 @@ class Tape:
 
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float32)}
         holders: dict[int, Tensor] = {id(loss): loss}
-        # Gradients are fresh arrays except where an op passes the incoming
-        # one on (add_bias) or a view of it (reshape). Each is installed
-        # uncopied unless a grad installed earlier in this sweep has the same
-        # memory owner, so no two tensors' grads ever share memory.
-        claimed: set[int] = set()
-
-        def install(tensor: Tensor, g: np.ndarray) -> None:
-            owner = g
-            while isinstance(owner, np.ndarray) and owner.base is not None:
-                owner = owner.base
-            tensor.accumulate_grad(g, copy=id(owner) in claimed)
-            claimed.add(id(owner))
-
         for output, backward_fn in reversed(self._records):
             g = flowing.pop(id(output), None)
             holders.pop(id(output), None)
             if g is None:
                 continue
-            if output.requires_grad:
-                install(output, g)
             for tensor, contribution in backward_fn(g):
                 key = id(tensor)
                 if key in flowing:
@@ -160,9 +148,20 @@ class Tape:
                     holders[key] = tensor
 
         # Whatever remains are leaves (tensors never produced by a record).
+        # Their gradients are fresh arrays except where an op passed the
+        # incoming one on (add_bias) or a view of it (reshape). Each is
+        # installed uncopied unless a grad installed earlier in this sweep has
+        # the same memory owner, so no two leaves' grads share memory.
+        claimed: set[int] = set()
         for key, tensor in holders.items():
-            if tensor.requires_grad:
-                install(tensor, flowing[key])
+            if not tensor.requires_grad:
+                continue
+            g = flowing[key]
+            owner = g
+            while isinstance(owner, np.ndarray) and owner.base is not None:
+                owner = owner.base
+            tensor.accumulate_grad(g, copy=id(owner) in claimed)
+            claimed.add(id(owner))
 
 
 def backward(loss: Tensor) -> None:

@@ -70,13 +70,15 @@ def apply_threshold(
     to the identity on nonzero entries and is returned bit-for-bit.
     """
     w = np.asarray(weights)
-    if not np.isfinite(w).all():
+    magnitude = np.abs(w)
+    # The largest magnitude is NaN or inf exactly when some weight is; an
+    # empty array has none, so ``initial`` keeps it finite.
+    if not np.isfinite(magnitude.max(initial=0)):
         raise NonFiniteError("apply_threshold received non-finite weights")
     threshold = float(threshold)
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
 
-    magnitude = np.abs(w)
     mask = magnitude > threshold
 
     if threshold == 0.0:
@@ -86,7 +88,7 @@ def apply_threshold(
     if op.kind == HARD:
         surviving = w
     elif op.kind == SOFT or (op.kind == POWER and op.p == 1.0):
-        surviving = np.sign(w) * (magnitude - w.dtype.type(threshold))
+        surviving = np.copysign(magnitude - w.dtype.type(threshold), w)
     else:
         # (|w|^p - T^p)^(1/p) computed as T * r * (1 - r^-p)^(1/p) with
         # r = |w|/T >= 1, which avoids overflow of |w|^p for large p. The
@@ -109,8 +111,10 @@ def apply_threshold(
                 scaled = threshold * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
             # A subnormal threshold can overflow the ratio; there the bias T is
             # far below one float32 ulp of |w|, so the exact answer is |w|.
-            scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
-            flat_pruned[index] = np.sign(flat_w[index]) * scaled.astype(w.dtype, copy=False)
+            if not np.isfinite(scaled.max()):
+                scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
+            # Every survivor is nonzero, so copying its sign equals sign(w) * x.
+            flat_pruned[index] = np.copysign(scaled.astype(w.dtype, copy=False), flat_w[index])
         return pruned, mask
 
     pruned = np.where(mask, surviving, w.dtype.type(0.0))

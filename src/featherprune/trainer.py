@@ -246,10 +246,15 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
                 param.grad = None
             loss_sum += loss.item() * len(idx)
             step += 1
+        # A step's graph lives until the next step replaces it: under glibc's
+        # default malloc thresholds, freeing it sooner hands the heap back to
+        # the system every step, and the next step faults it all back in. The
+        # last one goes here, before the eval, whose thresholded weights in
+        # turn go when it returns.
+        del tape, overrides, logits, loss
 
-        eval_overrides = {id(layer): feather_forward(state) for layer, state in pairs}
-        val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y,
-                                 config.batch_size, eval_overrides)
+        val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
+                                 {id(layer): feather_forward(state) for layer, state in pairs})
         snapshots.append(MaskSnapshot(epoch, {state.name: state.mask for state in states}))
         metrics.records.append(EpochRecord(
             epoch=epoch,

@@ -226,3 +226,15 @@ def two_phase_ste_step(model, thresholds: dict, op, theta: float, x: np.ndarray,
         leaf, mask = leaves[id(layer)]
         layer.weight.grad = leaf.grad * np.where(mask, np.float32(1.0), np.float32(theta))
     return loss
+
+
+def mask_pearson_two_vector(a, b) -> tuple[float, bool]:
+    """``(r, degenerate)`` the way ``mask_pearson`` once computed it: each mask
+    cast to bool on its own and passed to ``np.corrcoef(a, b)`` as two vectors."""
+    av = np.asarray(a).ravel().astype(bool)
+    bv = np.asarray(b).ravel().astype(bool)
+    if av.all() or (~av).all() or bv.all() or (~bv).all():
+        return (1.0 if np.array_equal(av, bv) else 0.0), True
+    if np.array_equal(av, bv):
+        return 1.0, False
+    return max(-1.0, min(1.0, float(np.corrcoef(av, bv)[0, 1]))), False

@@ -22,6 +22,8 @@ from featherprune.analysis import (
 from featherprune.models import build_cnn, build_mlp
 from featherprune.seeding import init_rng
 
+from memtrace import peak_bytes
+from oracles import mask_pearson_two_vector
 from oracles import pearson as pearson_oracle
 
 
@@ -104,6 +106,66 @@ class TestMaskPearsonBits:
         want = max(-1.0, min(1.0, float(np.corrcoef(a.astype(np.float64),
                                                     b.astype(np.float64))[0, 1])))
         assert float(mask_pearson(a, b)) == want
+
+
+def masks(n_min=2, n_max=3000):
+    """Bool masks whose density runs from all-false to all-true, so the
+    degenerate branches come up as often as the general one."""
+    return st.tuples(st.integers(n_min, n_max), st.integers(0, 2**32 - 1),
+                     st.sampled_from([0.0, 0.001, 0.3, 0.5, 0.98, 1.0]))
+
+
+def draw_mask(n, seed, density):
+    return np.random.default_rng(seed).random(n) < density
+
+
+def same_bits(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestMaskPearsonOneCopy:
+    """``mask_pearson`` feeds ``np.corrcoef`` one (2, N) bool pair, not two
+    vectors: the same bits, from one float64 copy instead of three."""
+
+    @given(a=masks(), b=st.tuples(st.integers(0, 2**32 - 1),
+                                  st.sampled_from([0.0, 0.02, 0.5, 1.0])),
+           flips=st.integers(0, 5), as_uint8=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_two_vector_corrcoef(self, a, b, flips, as_uint8):
+        av = draw_mask(*a)
+        # b is either its own draw or a with a few entries flipped
+        bv = draw_mask(a[0], *b) if flips == 0 else av.copy()
+        bv[:flips] = ~bv[:flips]
+        if as_uint8:
+            av, bv = av.astype(np.uint8), bv.astype(np.uint8)
+        want, degenerate = mask_pearson_two_vector(av, bv)
+        got = mask_pearson(av, bv)
+        assert same_bits(got, want) and got.degenerate is degenerate
+
+    @given(layers=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+           epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_curve_bits_match_two_vector_corrcoef(self, layers, epochs, seed, density):
+        if sum(layers) < 2:
+            return
+        rng = np.random.default_rng(seed)
+        snaps = [MaskSnapshot(e, {f"fc{i}": rng.random(n) < density
+                                  for i, n in enumerate(layers)})
+                 for e in range(epochs)]
+        final = np.concatenate(list(snaps[-1].masks.values()))
+        curve = stability_curve(snaps)
+        for (epoch, r), snap in zip(curve, snaps):
+            want, _ = mask_pearson_two_vector(np.concatenate(list(snap.masks.values())), final)
+            assert epoch == snap.epoch and same_bits(r, want)
+
+    def test_peak_is_one_float64_pair(self):
+        n = 266_200  # the 784-300-100-10 MLP's weights
+        rng = np.random.default_rng(0)
+        a, b = rng.random(n) < 0.02, rng.random(n) < 0.02
+        r, peak = peak_bytes(mask_pearson, a, b)
+        assert not r.degenerate
+        assert peak <= 2 * n * 8 + (1 << 20), f"peak {peak} bytes"
 
 
 class TestStabilityCurve:

@@ -186,6 +186,45 @@ class TestAnalyzeMasks:
         assert "run failed" in capsys.readouterr().err
 
 
+class TestOutFile:
+    """``eval``, ``analyze-masks`` and ``flops`` write ``--out`` atomically."""
+
+    @staticmethod
+    def argv(command, run, out=None):
+        if command == "analyze-masks":
+            argv = [command, "--masks", str(run / "masks.bin")]
+        else:
+            argv = [command, "--checkpoint", str(run / "final.fthr"), *BASE]
+        return argv + ["--out", str(out)] if out else argv
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-masks", "flops"])
+    def test_out_matches_stdout(self, tmp_path, capsys, command):
+        run_train(tmp_path / "run")
+        assert main(self.argv(command, tmp_path / "run", tmp_path / "report.csv")) == 0
+        capsys.readouterr()
+        assert main(self.argv(command, tmp_path / "run")) == 0
+        assert (tmp_path / "report.csv").read_text(encoding="utf-8") == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "analyze-masks", "flops"])
+    def test_failed_write_keeps_old_file_and_no_temp_file(self, tmp_path, monkeypatch, command):
+        run_train(tmp_path / "run")
+        out_dir = tmp_path / "reports"
+        out_dir.mkdir()
+        out = out_dir / "report.csv"
+        out.write_bytes(b"old report\n")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "report.csv":
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(self.argv(command, tmp_path / "run", out)) == 1
+        assert out.read_bytes() == b"old report\n"
+        assert [p.name for p in out_dir.iterdir()] == ["report.csv"]
+
+
 class TestFlops:
     def test_report_uses_checkpoint_masks(self, tmp_path, capsys):
         run_train(tmp_path / "run")

@@ -218,6 +218,12 @@ class TestRecordedOp:
         for p_want, p_got in zip(manual.parameters(), recorded.parameters()):
             assert p_got.grad.dtype == p_want.grad.dtype == np.float32
             assert p_got.grad.tobytes() == p_want.grad.tobytes()
+        # the thresholded weights keep their own gradient, equal to the dense
+        # weights' where the mask is set, in memory of their own
+        for layer, state in zip(recorded.layers, states):
+            kept, dense = overrides[id(layer)].grad, layer.weight.grad
+            assert kept is not None and not np.shares_memory(kept, dense)
+            assert kept[state.mask].tobytes() == dense[state.mask].tobytes()
 
     def test_without_tape_returns_constant(self):
         state = make_state([0.5, 0.1], threshold=0.2)

@@ -87,7 +87,9 @@ class TestTapeMechanics:
             tape.backward(loss)
         np.testing.assert_array_equal(w.grad, 2 * first)
 
-    def test_intermediate_requires_grad_tensor_gets_grad(self):
+    def test_intermediate_requires_grad_tensor_keeps_no_grad(self):
+        """An op output passes its gradient on to its inputs but keeps none;
+        only the leaves end up with ``grad``."""
         a = Tensor(np.ones((1, 2)))
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         v = Tensor(np.ones((2, 1)), requires_grad=True)
@@ -95,8 +97,10 @@ class TestTapeMechanics:
             hidden = matmul(a, w)
             loss = sum_all(matmul(hidden, v))
             tape.backward(loss)
-        assert hidden.requires_grad and hidden.grad is not None
-        np.testing.assert_array_equal(hidden.grad, np.ones((1, 2)))
+        assert hidden.requires_grad and hidden.grad is None
+        assert loss.grad is None
+        np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+        np.testing.assert_array_equal(v.grad, np.full((2, 1), 2.0))
 
     def test_same_tensor_used_twice_sums_contributions(self):
         """d/dX sum(X @ X) should match the finite-difference oracle."""
@@ -411,8 +415,9 @@ class TestConv2dMatchesIm2colReference:
 
 
 class TestGradientsOwnTheirMemory:
-    """Gradients are installed without a copy where possible; no two tensors'
-    grads may share memory after a backward sweep, even through ops that pass
+    """Only leaves keep a gradient after a backward sweep: every op output's
+    ``grad`` stays None. Leaf gradients are installed without a copy where
+    possible, yet no two of them may share memory, even through ops that pass
     the incoming gradient on (add_bias) or a view of it (reshape, flatten)."""
 
     def sweep(self, model, x):
@@ -422,12 +427,12 @@ class TestGradientsOwnTheirMemory:
             logits = model.forward(Tensor(x), overrides)
             loss = softmax_cross_entropy(logits, np.arange(len(x)) % logits.shape[1])
             tape.backward(loss)
-        tensors = [out for out, _ in tape._records]
-        tensors += list(overrides.values()) + [layer.bias for layer in model.layers]
-        return tensors
+        leaves = list(overrides.values()) + [layer.bias for layer in model.layers]
+        return [out for out, _ in tape._records], leaves
 
-    def assert_disjoint(self, tensors):
-        grads = [t.grad for t in tensors]
+    def assert_leaves_only(self, outputs, leaves):
+        assert outputs and all(t.grad is None for t in outputs)
+        grads = [t.grad for t in leaves]
         assert all(g is not None for g in grads)
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
@@ -438,26 +443,41 @@ class TestGradientsOwnTheirMemory:
         from featherprune.seeding import init_rng
         model = build_mlp(12, [8, 6], 4, init_rng(0))
         x = np.random.default_rng(0).standard_normal((5, 12)).astype(np.float32)
-        self.assert_disjoint(self.sweep(model, x))
+        self.assert_leaves_only(*self.sweep(model, x))
 
     def test_cnn(self):
         from featherprune.models import build_cnn
         from featherprune.seeding import init_rng
         model = build_cnn((1, 8, 8), 3, init_rng(0), channels=(2, 3))
         x = np.random.default_rng(0).standard_normal((4, 1, 8, 8)).astype(np.float32)
-        self.assert_disjoint(self.sweep(model, x))
+        self.assert_leaves_only(*self.sweep(model, x))
 
     def test_pass_through_chain(self):
         x = Tensor(np.ones((2, 2, 2, 1)), requires_grad=True)
         b = Tensor(np.zeros(2), requires_grad=True)
+        c = Tensor(np.zeros(4), requires_grad=True)
         with Tape() as tape:
             h = add_bias(x, b)
             r = reshape(h, (2, 4))
-            loss = sum_all(add_bias(flatten(r), Tensor(np.zeros(4), requires_grad=True)))
+            loss = sum_all(add_bias(flatten(r), c))
             tape.backward(loss)
-        tensors = [out for out, _ in tape._records] + [x, b]
-        self.assert_disjoint(tensors)
+        self.assert_leaves_only([out for out, _ in tape._records], [x, b, c])
         np.testing.assert_array_equal(x.grad, np.ones((2, 2, 2, 1)))
+
+    def test_leaves_handed_the_same_array_get_disjoint_grads(self):
+        """A recorded op that passes one array (and a view of it) to two
+        leaves: the first is installed as is, the second is copied."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            out = Tensor(np.ones((2, 3)), requires_grad=True)
+            tape.record(out, lambda g: [(x, g), (y, g.T)])
+            loss = sum_all(out)
+            tape.backward(loss)
+        assert out.grad is None
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(y.grad, np.ones((3, 2)))
 
     def test_accumulate_grad_copies_by_default(self):
         g = np.ones(3, dtype=np.float32)

@@ -108,6 +108,44 @@ class TestApplyThresholdValues:
             apply_threshold(np.float32([1.0]), -0.1, SOFT)
 
 
+class TestErrorContract:
+    """Which error ``apply_threshold`` raises, and in what order: non-finite
+    weights come first, before the threshold is even read."""
+
+    OPERATORS = [SOFT, HARD, P3, ThresholdOperator.power(1.0), ThresholdOperator.power(8.0)]
+
+    @given(
+        weights=hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=40),
+                           elements=finite_f32(-4.0, 4.0)),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        where=st.integers(0, 2**31),
+        threshold=st.sampled_from([0.0, 1e-40, 0.3, 5.0, -0.1, -np.inf, np.nan, "x"]),
+        op=st.sampled_from(OPERATORS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_non_finite_weight_raises_first(self, weights, bad, where, threshold, op):
+        weights.reshape(-1)[where % weights.size] = bad
+        with pytest.raises(NonFiniteError, match="non-finite weights"):
+            apply_threshold(weights, threshold, op)
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: f"{op.kind}{op.p}")
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_empty_weights_give_empty_results(self, op, shape, threshold):
+        pruned, mask = apply_threshold(np.zeros(shape, np.float32), threshold, op)
+        assert pruned.shape == mask.shape == shape
+        assert pruned.dtype == np.float32 and mask.dtype == np.bool_
+
+    def test_empty_weights_with_negative_threshold(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            apply_threshold(np.zeros((0,), np.float32), -1.0, SOFT)
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: f"{op.kind}{op.p}")
+    def test_finite_weights_with_negative_threshold(self, op):
+        with pytest.raises(ValueError, match=">= 0"):
+            apply_threshold(np.float32([np.finfo(np.float32).max, 0.0]), -0.1, op)
+
+
 class TestOperatorInvariants:
     """Family-wide properties, fuzzed over inputs."""
 

@@ -279,6 +279,59 @@ class TestTrainLoop:
         assert "fc1/threshold" not in records and "fc1/mask" not in records
 
 
+class TestNothingLeftOver:
+    """A finished step keeps nothing alive, and the tape keeps gradients only
+    where they are read."""
+
+    def test_no_step_graph_alive_at_stability_curve(self, monkeypatch):
+        import weakref
+
+        from featherprune import trainer
+
+        real_forward, real_curve = trainer.feather_forward, trainer.stability_curve
+        made, alive_at_curve = [], []
+
+        class WatchedTape(trainer.Tape):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        def watched_forward(state):  # Tensor has no weakref slot; its array does
+            out = real_forward(state)
+            made.append(weakref.ref(out.data))
+            return out
+
+        def watched_curve(snapshots):
+            alive_at_curve.extend(ref() for ref in made if ref() is not None)
+            return real_curve(snapshots)
+
+        monkeypatch.setattr(trainer, "Tape", WatchedTape)
+        monkeypatch.setattr(trainer, "feather_forward", watched_forward)
+        monkeypatch.setattr(trainer, "stability_curve", watched_curve)
+        train(small_config(epochs=2, final_sparsity=0.6), small_model(), small_dataset())
+        # 2 epochs of 6 steps (a tape and 2 layers' weights each) and an eval
+        assert len(made) == 2 * (6 * (1 + 2) + 2)
+        assert alive_at_curve == []
+
+    def test_grads_kept_only_on_parameters_and_thresholded_weights(self, monkeypatch):
+        calls = []
+        accumulate = Tensor.accumulate_grad
+
+        def counted(self, g, copy=True):
+            calls.append(self)
+            accumulate(self, g, copy)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", counted)
+        model = small_model(hidden=(12, 8))
+        cfg = small_config(epochs=2, final_sparsity=0.6)
+        train(cfg, model, small_dataset())
+        steps = cfg.epochs * -(-192 // cfg.batch_size)  # 240 samples, 192 train
+        params = {id(p) for p in model.parameters()}
+        # per step: 3 weights, 3 biases and the 3 thresholded weight tensors
+        assert len(calls) == steps * 9
+        assert sum(id(t) in params for t in calls) == steps * 6
+
+
 class TestMetricsCsv:
     def test_round_trip(self):
         data = small_dataset()
