@@ -33,9 +33,8 @@ def ramp():
 def make_states():
     model = build_mlp(784, [300, 100], 10, init_rng(0))
     return [
-        PruneLayerState(l.name, l.kind, l.weight, ThresholdOperator.power(3.0),
-                        prunable=l.prunable)
-        for l in model.layers
+        PruneLayerState(l.name, l.kind, l.weight, ThresholdOperator.power(3.0))
+        for l in model.layers if l.prunable
     ]
 
 

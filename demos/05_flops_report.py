@@ -18,9 +18,8 @@ from featherprune.thresholding import ThresholdOperator
 def main():
     model = build_cnn((1, 12, 12), 5, init_rng(2), channels=(8, 16))
     states = [
-        PruneLayerState(l.name, l.kind, l.weight, ThresholdOperator.power(3.0),
-                        prunable=l.prunable)
-        for l in model.layers
+        PruneLayerState(l.name, l.kind, l.weight, ThresholdOperator.power(3.0))
+        for l in model.layers if l.prunable
     ]
 
     dense_masks = {l.name: np.ones(l.weight.shape, dtype=bool) for l in model.layers}

@@ -11,7 +11,14 @@ reproducible; analysis helpers measure mask stability and sparse FLOPs.
 from .analysis import FlopsReport, MaskSnapshot, flops_count, mask_pearson, stability_curve
 from .backbones import BackboneKind, SparsitySchedule, assign_thresholds, cubic_sparsity
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import DatasetDescriptor, SplitDataset, load_dataset, load_idx, synth_blobs
+from .datasets import (
+    DatasetDescriptor,
+    SplitDataset,
+    decode_features,
+    load_dataset,
+    load_idx,
+    synth_blobs,
+)
 from .errors import ConfigError, FormatError, NonFiniteError, TrainingDivergedError
 from .feather import (
     GradScalePolicy,
@@ -59,6 +66,7 @@ __all__ = [
     "flops_count",
     "DatasetDescriptor",
     "SplitDataset",
+    "decode_features",
     "load_idx",
     "synth_blobs",
     "load_dataset",

@@ -11,7 +11,8 @@ per-layer thresholds:
   reaches the same sparsity; the first convolutional layer can be exempted
   (kept dense), which is the default for this backbone.
 
-Biases and non-prunable parameters never participate.
+Only prunable layers get a state, so biases and layers built with
+``prunable=False`` never participate.
 """
 
 from __future__ import annotations
@@ -89,22 +90,16 @@ def _first_conv(states: Sequence[PruneLayerState]) -> Optional[PruneLayerState]:
     return None
 
 
-def _prunable(layers: Sequence[PruneLayerState]) -> list[PruneLayerState]:
-    states = [s for s in layers if s.prunable]
-    if not states:
-        raise ValueError("no prunable layers to assign thresholds to")
-    return states
-
-
 def assign_thresholds_global(
     layers: Sequence[PruneLayerState], sparsity: float, exempt_first_conv: bool = False
 ) -> None:
-    """Write one pooled-magnitude threshold into every prunable layer."""
+    """Write one pooled-magnitude threshold into every given layer."""
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    states = _prunable(layers)
-    exempt = _first_conv(states) if exempt_first_conv else None
-    pooled = [s for s in states if s is not exempt]
+    if not layers:
+        raise ValueError("no prunable layers to assign thresholds to")
+    exempt = _first_conv(layers) if exempt_first_conv else None
+    pooled = [s for s in layers if s is not exempt]
     magnitudes = np.concatenate([np.abs(s.weights.data).ravel() for s in pooled])
     threshold = select_threshold(magnitudes, sparsity)
     for state in pooled:
@@ -116,12 +111,13 @@ def assign_thresholds_global(
 def assign_thresholds_uniform(
     layers: Sequence[PruneLayerState], sparsity: float, exempt_first_conv: bool = True
 ) -> None:
-    """Give every prunable layer its own threshold at the same sparsity."""
+    """Give every given layer its own threshold at the same sparsity."""
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    states = _prunable(layers)
-    exempt = _first_conv(states) if exempt_first_conv else None
-    for state in states:
+    if not layers:
+        raise ValueError("no prunable layers to assign thresholds to")
+    exempt = _first_conv(layers) if exempt_first_conv else None
+    for state in layers:
         if state is exempt:
             state.threshold = 0.0
         else:
@@ -138,12 +134,10 @@ def assign_thresholds(
 
 
 def measured_sparsity(layers: Sequence[PruneLayerState]) -> float:
-    """Fraction of prunable weights at or below their layer's threshold."""
+    """Fraction of the layers' weights at or below their layer's threshold."""
     pruned = 0
     total = 0
     for state in layers:
-        if not state.prunable:
-            continue
         if state.threshold is None:
             raise ValueError(f"layer {state.name!r} has no threshold assigned")
         magnitude = np.abs(state.weights.data)

@@ -174,9 +174,16 @@ def cmd_sweep(args) -> int:
         axes.append((key.strip(), values))
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = []
+    for token in filter(None, (s.strip() for s in args.seeds.split(","))):
+        try:
+            seeds.append(int(token))
+        except ValueError:
+            raise ConfigError(f"--seeds token {token!r} is not an integer") from None
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from typing import Optional
 from .backbones import BackboneKind, SparsitySchedule
 from .datasets import DatasetDescriptor
 from .errors import ConfigError
-from .feather import AUTO_STEP, FIXED, GradScalePolicy
+from .feather import GradScalePolicy
 from .models import Model, build_cnn, build_mlp
 from .seeding import init_rng
 from .thresholding import ThresholdOperator
@@ -186,10 +186,7 @@ def _build_train_config(values) -> TrainConfig:
             kind=values["prune.backbone"],
             exempt_first_conv=values["prune.exempt_first_conv"],
         )
-        if values["prune.theta_mode"] == FIXED:
-            policy = GradScalePolicy(mode=FIXED, theta=values["prune.theta"])
-        else:
-            policy = GradScalePolicy(mode=AUTO_STEP)
+        policy = GradScalePolicy(mode=values["prune.theta_mode"], theta=values["prune.theta"])
         return TrainConfig(
             epochs=epochs,
             batch_size=values["train.batch_size"],

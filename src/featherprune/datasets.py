@@ -1,8 +1,11 @@
 """Dataset ingestion: IDX image files and seeded synthetic Gaussian blobs.
 
-Both sources resolve to a :class:`SplitDataset` of float32 feature arrays and
-int64 labels, split train/val by a leading fraction (data order is preserved;
-blob labels are assigned round-robin so a prefix split stays class-balanced).
+Both sources resolve to a :class:`SplitDataset` of stored rows and int64
+labels, split train/val by a leading fraction (data order is preserved; blob
+labels are assigned round-robin so a prefix split stays class-balanced). IDX
+rows stay the file's uint8 pixels and blob rows are float32 features;
+:func:`decode_features` turns whichever rows a step reads into float32
+features, so an image set is held at its stored size rather than 4x it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "IDX_LABELS_MAGIC",
     "DatasetDescriptor",
     "SplitDataset",
+    "decode_features",
     "load_idx",
     "synth_blobs",
     "load_dataset",
@@ -72,6 +76,10 @@ class DatasetDescriptor:
 
 @dataclass
 class SplitDataset:
+    """Train/val rows as stored: uint8 ``[N, 1, rows, cols]`` pixels for an IDX
+    source, float32 ``[N, dims]`` features for blobs. Pass rows through
+    :func:`decode_features` to get the float32 features a model reads."""
+
     train_x: np.ndarray
     train_y: np.ndarray
     val_x: np.ndarray
@@ -104,12 +112,19 @@ def _read_image_header(blob: bytes, path) -> tuple[int, int, int]:
     return count, rows, cols
 
 
-def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tuple[Tensor, np.ndarray]:
-    """Load a big-endian IDX image/label file pair.
+def decode_features(rows: np.ndarray) -> np.ndarray:
+    """Float32 features for stored rows: uint8 pixels scaled to [0, 1] as
+    ``astype(float32)`` then ``/= 255.0``; float32 rows come back unchanged."""
+    if rows.dtype != np.uint8:
+        return rows
+    features = rows.astype(np.float32)
+    features /= 255.0
+    return features
 
-    Images come back as a [N, 1, rows, cols] tensor scaled to [0, 1]. When
-    ``num_classes`` is given, any label outside [0, num_classes) is rejected.
-    """
+
+def _read_idx(images_path, labels_path, num_classes: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels of an IDX pair as a read-only uint8 [N, 1, rows, cols] view of
+    the image file's bytes, and the labels as int64."""
     img_blob = Path(images_path).read_bytes()
     count, rows, cols = _read_image_header(img_blob, images_path)
     expected = 16 + count * rows * cols
@@ -120,9 +135,7 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tup
         )
     if len(img_blob) > expected:
         raise FormatError(f"{images_path}: {len(img_blob) - expected} trailing bytes at offset {expected}")
-    images = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    images = images.reshape(count, 1, rows, cols).astype(np.float32)
-    images /= 255.0
+    pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(count, 1, rows, cols)
 
     lbl_blob = Path(labels_path).read_bytes()
     _, lbl_count = _read_header(lbl_blob, 2, labels_path, IDX_LABELS_MAGIC)
@@ -144,7 +157,17 @@ def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tup
         raise ValueError(
             f"{labels_path}: label {int(labels.max())} out of range for {num_classes} classes"
         )
-    return Tensor(images), labels
+    return pixels, labels
+
+
+def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tuple[Tensor, np.ndarray]:
+    """Load a big-endian IDX image/label file pair.
+
+    Images come back as a [N, 1, rows, cols] tensor scaled to [0, 1]. When
+    ``num_classes`` is given, any label outside [0, num_classes) is rejected.
+    """
+    pixels, labels = _read_idx(images_path, labels_path, num_classes)
+    return Tensor(decode_features(pixels)), labels
 
 
 def synth_blobs(desc: DatasetDescriptor) -> tuple[Tensor, np.ndarray]:
@@ -182,7 +205,7 @@ def synth_blobs(desc: DatasetDescriptor) -> tuple[Tensor, np.ndarray]:
 def load_dataset(desc: DatasetDescriptor,
                  expected_classes: Optional[int] = None) -> SplitDataset:
     if desc.kind == "idx":
-        x, y = load_idx(desc.images_path, desc.labels_path, expected_classes)
+        data, y = _read_idx(desc.images_path, desc.labels_path, expected_classes)
         num_classes = expected_classes if expected_classes else int(y.max()) + 1
     else:
         if expected_classes is not None and expected_classes != desc.classes:
@@ -190,9 +213,9 @@ def load_dataset(desc: DatasetDescriptor,
                 f"model expects {expected_classes} classes, blobs descriptor has {desc.classes}"
             )
         x, y = synth_blobs(desc)
+        data = x.data
         num_classes = desc.classes
 
-    data = x.data
     n_train = int(desc.split * len(data))
     if n_train < 1 or n_train >= len(data):
         raise ConfigError(

@@ -58,7 +58,6 @@ class PruneLayerState:
     theta: float = 1.0
     threshold: Optional[float] = None
     mask: Optional[np.ndarray] = None
-    prunable: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:

@@ -31,6 +31,7 @@ from .backbones import (
     measured_sparsity,
 )
 from .checkpoint import atomic_open
+from .datasets import decode_features
 from .errors import NonFiniteError, TrainingDivergedError
 from .feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
 from .feather import feather_backward  # noqa: F401 - unused; perfbench's tracer patches this name
@@ -180,10 +181,11 @@ def sgd_step(weights: np.ndarray, grad: np.ndarray, momentum_buffer: np.ndarray,
 
 def evaluate_top1(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int,
                   weight_overrides: Optional[dict] = None) -> float:
-    """Top-1 accuracy over a dataset, evaluated without gradient recording."""
+    """Top-1 accuracy over stored rows (a :class:`SplitDataset` split), evaluated
+    without gradient recording; each batch goes through ``decode_features``."""
     correct = 0
     for start in range(0, len(x), batch_size):
-        xb = Tensor(x[start : start + batch_size])
+        xb = Tensor(decode_features(x[start : start + batch_size]))
         logits = model.forward(xb, weight_overrides)
         pred = logits.data.argmax(axis=1)
         correct += int((pred == y[start : start + batch_size]).sum())
@@ -234,7 +236,7 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             try:
                 with Tape() as tape:
                     overrides = {id(layer): feather_forward(state) for layer, state in pairs}
-                    logits = model.forward(Tensor(dataset.train_x[idx]), overrides)
+                    logits = model.forward(Tensor(decode_features(dataset.train_x[idx])), overrides)
                     loss = softmax_cross_entropy(logits, dataset.train_y[idx],
                                                  config.label_smoothing)
                     tape.backward(loss)
@@ -298,7 +300,7 @@ def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
             lr_t = cosine_lr(step, total_steps, config.lr, warmup_steps)
             try:
                 with Tape() as tape:
-                    logits = model.forward(Tensor(dataset.train_x[idx]))
+                    logits = model.forward(Tensor(decode_features(dataset.train_x[idx])))
                     loss = softmax_cross_entropy(logits, dataset.train_y[idx],
                                                  config.label_smoothing)
                     tape.backward(loss)

@@ -238,3 +238,11 @@ def mask_pearson_two_vector(a, b) -> tuple[float, bool]:
     if np.array_equal(av, bv):
         return 1.0, False
     return max(-1.0, min(1.0, float(np.corrcoef(av, bv)[0, 1]))), False
+
+
+def idx_pixels_whole_array(pixels: np.ndarray) -> np.ndarray:
+    """IDX pixels decoded the way ``load_dataset`` once held them: the whole
+    uint8 array cast to float32 at load time, then divided by 255 in place."""
+    images = pixels.astype(np.float32)
+    images /= 255.0
+    return images

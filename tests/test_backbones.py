@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featherprune import trainer
 from featherprune.backbones import (
     BackboneKind,
     SparsitySchedule,
@@ -18,19 +19,33 @@ from featherprune.backbones import (
     cubic_sparsity,
     measured_sparsity,
 )
+from featherprune.datasets import DatasetDescriptor, load_dataset
 from featherprune.feather import PruneLayerState
+from featherprune.models import build_mlp
+from featherprune.seeding import init_rng
 from featherprune.tensor import Tensor
 from featherprune.thresholding import ThresholdOperator, select_threshold
+from featherprune.trainer import TrainConfig, train
 
 
-def make_state(weights, name="fc0", kind="fc", prunable=True):
+def make_state(weights, name="fc0", kind="fc"):
     return PruneLayerState(
         name=name,
         kind=kind,
         weights=Tensor(np.asarray(weights, dtype=np.float32), requires_grad=True),
         op=ThresholdOperator.power(3.0),
-        prunable=prunable,
     )
+
+
+def train_with_frozen_middle(epochs=3, final_sparsity=0.6):
+    """Train a 16-12-8-4 MLP whose middle layer (fc1) is built non-prunable."""
+    data = load_dataset(DatasetDescriptor(kind="blobs", dims=16, classes=4, samples=240,
+                                          noise=0.25, seed=0))
+    model = build_mlp(16, [12, 8], 4, init_rng(0))
+    model.layers[1].prunable = False
+    cfg = TrainConfig(epochs=epochs, batch_size=32, lr=0.1, seed=0,
+                      schedule=SparsitySchedule(final_sparsity, epochs))
+    return cfg, model, train(cfg, model, data)
 
 
 def brute_force_threshold(magnitudes, sparsity):
@@ -141,12 +156,12 @@ class TestGlobalBackbone:
             assert len({st.threshold for st in layers}) == 1
 
     def test_non_prunable_layer_excluded(self):
-        kept = make_state([10.0, 20.0], name="frozen", prunable=False)
-        live = make_state([0.1, 0.2, 0.3, 0.4], name="fc0")
-        assign_thresholds_global([kept, live], 0.5)
-        # pool is the live layer only: k = 2 -> T = 0.2
-        assert live.threshold == pytest.approx(0.2)
-        assert kept.threshold is None
+        # train() hands the backbone only the prunable layers: the pool is fc0 and fc2
+        cfg, model, result = train_with_frozen_middle()
+        assert [s.name for s in result.states] == ["fc0", "fc2"]
+        pooled = np.concatenate([np.abs(model.layers[i].weight.data).ravel() for i in (0, 2)])
+        want = select_threshold(pooled, cubic_sparsity(cfg.epochs - 1, cfg.schedule))
+        assert [s.threshold for s in result.states] == [want, want]
 
     def test_exemption_removes_first_conv_from_pool(self):
         conv = make_state([0.01, 0.02], name="conv0", kind="conv")
@@ -156,9 +171,9 @@ class TestGlobalBackbone:
         assert fc.threshold == pytest.approx(0.2)
 
     def test_no_prunable_layers_raises(self):
-        state = make_state([1.0], prunable=False)
-        with pytest.raises(ValueError, match="no prunable"):
-            assign_thresholds_global([state], 0.5)
+        for assign in (assign_thresholds_global, assign_thresholds_uniform):
+            with pytest.raises(ValueError, match="no prunable"):
+                assign([], 0.5)
 
     def test_sparsity_range_checked(self):
         state = make_state([1.0, 2.0])
@@ -199,14 +214,6 @@ class TestUniformBackbone:
         assert conv0.threshold == 0.0
         assert conv1.threshold == pytest.approx(0.2)
         assert fc.threshold == pytest.approx(1.0)
-
-    def test_exemption_skips_non_prunable_convs(self):
-        frozen = make_state([9.0], name="conv0", kind="conv", prunable=False)
-        conv = make_state([0.1, 0.2], name="conv1", kind="conv")
-        assign_thresholds_uniform([frozen, conv], 0.5)
-        # the first *prunable* conv is the exempt one
-        assert conv.threshold == 0.0
-        assert frozen.threshold is None
 
     def test_zero_sparsity(self):
         layers = [make_state([1.0, 2.0]), make_state([3.0], name="fc1")]
@@ -255,11 +262,21 @@ class TestMeasuredSparsity:
         assign_thresholds_global([state], 0.25)  # k = 1, but three ties at T
         assert measured_sparsity([state]) == 3 / 4
 
-    def test_non_prunable_ignored(self):
-        live = make_state([0.1, 0.9])
-        frozen = make_state([0.0, 0.0, 0.0], prunable=False)
-        assign_thresholds_global([live, frozen], 0.5)
-        assert measured_sparsity([live, frozen]) == 1 / 2
+    def test_non_prunable_ignored(self, monkeypatch):
+        # train() measures over the prunable layers only: fc1's weights never count
+        real_measured, counted, fractions = trainer.measured_sparsity, [], []
+
+        def measured(states):
+            counted.append([s.name for s in states])
+            magnitudes = [np.abs(s.weights.data) for s in states]
+            pruned = sum(int((m <= s.threshold).sum()) for m, s in zip(magnitudes, states))
+            fractions.append(pruned / sum(m.size for m in magnitudes))
+            return real_measured(states)
+
+        monkeypatch.setattr(trainer, "measured_sparsity", measured)
+        _, _, result = train_with_frozen_middle()
+        assert counted == [["fc0", "fc2"]] * 3
+        assert [r.achieved_sparsity for r in result.metrics.records] == fractions
 
     def test_missing_threshold_raises(self):
         with pytest.raises(ValueError, match="no threshold"):
@@ -267,7 +284,7 @@ class TestMeasuredSparsity:
 
     def test_no_prunable_raises(self):
         with pytest.raises(ValueError, match="no prunable"):
-            measured_sparsity([make_state([1.0], prunable=False)])
+            measured_sparsity([])
 
     @given(
         data=st.data(),

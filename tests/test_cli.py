@@ -373,6 +373,21 @@ class TestSweep:
         code = main(["sweep", "--out", str(tmp_path), *BASE, "--axis", "nonsense"])
         assert code == 2
 
+    def test_non_integer_seed_is_config_error(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path / "s"), *BASE,
+                     "--axis", "prune.final_sparsity=0.5", "--seeds", "1,x"])
+        assert code == 2
+        assert "config error: --seeds token 'x' is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        code = main(["sweep", "--out", str(tmp_path / "s"), *BASE,
+                     "--axis", "prune.final_sparsity=0.5", "--jobs", jobs])
+        assert code == 2
+        assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestExitCodes:
     def test_unknown_config_key_is_two(self, tmp_path, capsys):
@@ -383,6 +398,22 @@ class TestExitCodes:
     def test_bad_value_is_two(self, tmp_path):
         assert main(["train", "--out", str(tmp_path), *BASE,
                      "--set", "train.momentum=2.0"]) == 2
+
+    @pytest.mark.parametrize("mode", ["auto_step", "fixed"])
+    @pytest.mark.parametrize("theta", ["-1", "1.5"])
+    def test_theta_outside_unit_interval_is_two(self, tmp_path, capsys, mode, theta):
+        code = main(["train", "--out", str(tmp_path / "r"), *BASE,
+                     "--set", f"prune.theta_mode={mode}", "--set", f"prune.theta={theta}"])
+        assert code == 2
+        assert "theta must be in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_in_range_theta_is_ignored_under_auto_step(self, tmp_path):
+        assert run_train(tmp_path / "default") == 0
+        assert run_train(tmp_path / "set", ["--set", "prune.theta=0.25"]) == 0
+        for name in ("metrics.csv", "masks.bin", "final.fthr"):
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "set" / name).read_bytes(), name
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from featherprune import datasets
 from featherprune.datasets import (
     BLOB_BLOCK_VALUES,
     DatasetDescriptor,
+    decode_features,
     load_dataset,
     load_idx,
     synth_blobs,
@@ -24,7 +26,7 @@ from featherprune.errors import ConfigError, FormatError
 from featherprune.seeding import DATA_STREAM, mix_seed
 
 from memtrace import peak_bytes
-from oracles import synth_blobs_one_shot
+from oracles import idx_pixels_whole_array, synth_blobs_one_shot
 
 
 def idx_images(images):
@@ -151,6 +153,59 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match="label 7 out of range"):
             load_idx(img_path, lbl_path, num_classes=4)
         load_idx(img_path, lbl_path, num_classes=8)  # 7 is legal here
+
+
+class TestStoredPixels:
+    """IDX rows stay uint8 until a batch is read; decoded batches are the bits
+    the whole-array float32 decode gave."""
+
+    @given(
+        pixels=hnp.arrays(np.uint8, st.tuples(st.integers(1, 40), st.just(1),
+                                               st.integers(1, 5), st.integers(1, 5))),
+        batch=st.integers(1, 41),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batches_match_whole_array_decode(self, pixels, batch, seed):
+        pixels.flat[0], pixels.flat[-1] = 0, 255
+        want = idx_pixels_whole_array(pixels)
+        perm = np.random.default_rng(seed).permutation(len(pixels))
+        for start in range(0, len(pixels), batch):  # the last batch may be short
+            idx = perm[start : start + batch]
+            got = decode_features(pixels[idx])
+            assert got.dtype == np.float32
+            assert got.tobytes() == want[idx].tobytes()
+
+    def test_every_pixel_value(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(256, 1, 1, 1)
+        assert decode_features(pixels).tobytes() == idx_pixels_whole_array(pixels).tobytes()
+
+    def test_float_rows_pass_through(self):
+        rows = np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4)
+        assert decode_features(rows) is rows
+
+    def test_split_holds_the_file_pixels(self, tmp_path):
+        pixels = np.random.default_rng(1).integers(0, 256, (10, 3, 4), dtype=np.uint8)
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(idx_images(pixels))
+        lbl.write_bytes(idx_labels(np.arange(10) % 3))
+        data = load_dataset(DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl))
+        assert data.train_x.dtype == data.val_x.dtype == np.uint8
+        stored = np.concatenate([data.train_x, data.val_x])
+        assert stored.tobytes() == pixels.tobytes()
+        assert data.input_shape == (1, 3, 4)
+
+    def test_load_dataset_peak_is_the_file(self, tmp_path):
+        # a whole-set float32 copy of the pixels (4x the file) fails this
+        count, side = 1000, 28
+        pixels = np.random.default_rng(0).integers(0, 256, (count, side, side), dtype=np.uint8)
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(idx_images(pixels))
+        lbl.write_bytes(idx_labels(np.arange(count) % 10))
+        desc = DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl)
+        data, peak = peak_bytes(load_dataset, desc)
+        labels = data.train_y.nbytes + data.val_y.nbytes
+        assert peak <= img.stat().st_size + labels + 64 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -5,17 +5,20 @@ they check contracts (bitwise repeatability, dense equivalence at zero
 sparsity, schedule tracking), not accuracy numbers.
 """
 
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from featherprune.backbones import BackboneKind, SparsitySchedule
-from featherprune.datasets import DatasetDescriptor, load_dataset
+from featherprune.backbones import BackboneKind, SparsitySchedule, cubic_sparsity
+from featherprune.datasets import DatasetDescriptor, SplitDataset, load_dataset
 from featherprune.errors import TrainingDivergedError
 from featherprune.feather import GradScalePolicy
-from featherprune.models import build_mlp
+from featherprune.models import build_cnn, build_mlp
 from featherprune.seeding import init_rng
 from featherprune.tensor import Tensor
-from featherprune.thresholding import ThresholdOperator
+from featherprune.thresholding import ThresholdOperator, select_threshold
 from featherprune.trainer import (
     METRICS_HEADER,
     RunMetrics,
@@ -277,6 +280,77 @@ class TestTrainLoop:
         assert not np.array_equal(head.weight.data, before)
         records = model_records(model, result.states)
         assert "fc1/threshold" not in records and "fc1/mask" not in records
+
+    def test_exemption_skips_non_prunable_convs(self):
+        # uniform backbone: the first *prunable* conv is the exempt one
+        rng = np.random.default_rng(0)
+        data = SplitDataset(rng.random((24, 1, 8, 8), dtype=np.float32), np.arange(24) % 3,
+                            rng.random((8, 1, 8, 8), dtype=np.float32), np.arange(8) % 3,
+                            3, (1, 8, 8))
+        model = build_cnn((1, 8, 8), 3, init_rng(0), channels=(2, 3))
+        model.layers[0].prunable = False
+        cfg = small_config(epochs=2, final_sparsity=0.5, backbone=BackboneKind("uniform"))
+        result = train(cfg, model, data)
+        assert [s.name for s in result.states] == ["conv2", "fc0"]
+        assert result.states[0].threshold == 0.0
+        assert result.states[1].threshold > 0.0
+
+
+@pytest.fixture
+def idx_split(tmp_path):
+    """An IDX image set loaded as stored (uint8 rows) and the same split holding
+    the float32 arrays the whole-array decode used to give."""
+    from oracles import idx_pixels_whole_array
+
+    count, side = 60, 8
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, (count, side, side), dtype=np.uint8)
+    pixels[0, 0, :2] = 0, 255
+    img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+    img.write_bytes(struct.pack(">IIII", 0x803, count, side, side) + pixels.tobytes())
+    lbl.write_bytes(struct.pack(">II", 0x801, count) + (np.arange(count) % 3).astype(np.uint8).tobytes())
+    stored = load_dataset(DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl))
+    assert stored.train_x.dtype == np.uint8
+    decoded = replace(stored, train_x=idx_pixels_whole_array(stored.train_x),
+                      val_x=idx_pixels_whole_array(stored.val_x))
+    return stored, decoded
+
+
+class TestStoredPixels:
+    """Training and evaluation on uint8 IDX rows decode each batch to the bits
+    the float32 arrays gave."""
+
+    # 48 training images in batches of 20: the last batch is short
+    CONFIG = dict(epochs=3, batch_size=20, lr=0.05, seed=4, backbone=BackboneKind("uniform"))
+
+    def _run(self, loop, dataset, final_sparsity):
+        model = build_cnn((1, 8, 8), 3, init_rng(1), channels=(2, 4))
+        cfg = TrainConfig(**dict(self.CONFIG, schedule=SparsitySchedule(final_sparsity, 3)))
+        result = loop(cfg, model, dataset)
+        return result, [p.data.tobytes() for p in model.parameters()]
+
+    @pytest.mark.parametrize("loop,final_sparsity", [(train, 0.5), (train_dense, 0.0)],
+                             ids=["train", "train_dense"])
+    def test_run_is_byte_identical_to_float_arrays(self, idx_split, loop, final_sparsity):
+        stored, decoded = idx_split
+        got, got_weights = self._run(loop, stored, final_sparsity)
+        want, want_weights = self._run(loop, decoded, final_sparsity)
+        assert got.metrics.to_csv() == want.metrics.to_csv()
+        assert got_weights == want_weights
+        assert len(got.snapshots) == len(want.snapshots)
+        for a, b in zip(got.snapshots, want.snapshots):
+            assert {k: v.tobytes() for k, v in a.masks.items()} == \
+                {k: v.tobytes() for k, v in b.masks.items()}
+
+    def test_evaluate_top1_matches_decoded_split(self, idx_split):
+        stored, decoded = idx_split
+        model = build_cnn((1, 8, 8), 3, init_rng(2), channels=(2, 4))
+        rng = np.random.default_rng(2)
+        for param in model.parameters():  # nonzero biases: the input scale shows
+            param.data[...] = rng.standard_normal(param.shape)
+        for batch in (5, 7, 12):
+            assert evaluate_top1(model, stored.val_x, stored.val_y, batch) == \
+                evaluate_top1(model, decoded.val_x, decoded.val_y, batch)
 
 
 class TestNothingLeftOver:
