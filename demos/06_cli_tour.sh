@@ -1,6 +1,13 @@
 #!/usr/bin/env bash
 # Walk through every CLI subcommand against a temp directory.
+# Uses the installed `featherprune` command, or this checkout's sources when
+# none is on PATH.
 set -euo pipefail
+
+if ! command -v featherprune >/dev/null 2>&1; then
+    src="$(cd "$(dirname "$0")/../src" && pwd)"
+    featherprune() { PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" python3 -m featherprune.cli "$@"; }
+fi
 
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT

@@ -7,6 +7,7 @@ nothing mutates model or mask state.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +24,41 @@ __all__ = [
 ]
 
 
-@dataclass
 class MaskSnapshot:
-    """Boolean keep-masks for every layer at the end of one epoch.
+    """Keep-masks for every layer at the end of one epoch, one bit per weight.
 
-    ``masks`` is insertion-ordered by model layer; concatenation order for the
-    stability statistics follows that order and must match across snapshots.
+    ``MaskSnapshot(epoch, masks)`` takes a mapping from layer name to a bool
+    or integer mask (nonzero means kept) and packs each layer with
+    ``np.packbits``, so a run's history costs ceil(N/8) bytes per epoch
+    instead of N. ``masks`` unpacks on every read and returns a new dict of
+    fresh bool arrays of the original shapes; ``unpacked(layer)`` gives one
+    layer as a fresh u8 0/1 array, the FTHR mask wire form. Layers keep their
+    insertion order, which is the model's; concatenation order for the
+    stability statistics follows it and must match across snapshots.
     """
 
-    epoch: int
-    masks: dict[str, np.ndarray]
+    __slots__ = ("epoch", "_bits")
+
+    def __init__(self, epoch: int, masks: Mapping[str, np.ndarray]):
+        self.epoch = epoch
+        self._bits = {}
+        for name, mask in masks.items():
+            mask = np.asarray(mask)
+            if mask.dtype.kind not in "biu":
+                mask = mask.astype(bool)
+            self._bits[name] = (np.packbits(mask), mask.shape)
+
+    @property
+    def layers(self) -> list[str]:
+        return list(self._bits)
+
+    def unpacked(self, layer: str) -> np.ndarray:
+        bits, shape = self._bits[layer]
+        return np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
+
+    @property
+    def masks(self) -> dict[str, np.ndarray]:
+        return {name: self.unpacked(name).view(bool) for name in self._bits}
 
 
 class PearsonResult(float):
@@ -72,9 +98,10 @@ def mask_pearson(a: np.ndarray, b: np.ndarray) -> PearsonResult:
 
 
 def _concat_masks(snapshot: MaskSnapshot) -> np.ndarray:
-    if not snapshot.masks:
+    if not snapshot.layers:
         raise ValueError(f"snapshot for epoch {snapshot.epoch} holds no masks")
-    return np.concatenate([np.ravel(m) for m in snapshot.masks.values()]).astype(bool, copy=False)
+    return np.concatenate([np.ravel(snapshot.unpacked(name))
+                           for name in snapshot.layers]).view(bool)
 
 
 def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import struct
+from collections.abc import Mapping
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -44,7 +44,7 @@ def atomic_open(path, mode: str = "wb", **kwargs):
     If the body raises, the temp file is removed and ``path`` is untouched.
     """
     directory, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
@@ -66,16 +66,19 @@ def _checked(name: str, arr) -> np.ndarray:
     return arr
 
 
-def save_checkpoint(path, records: dict[str, np.ndarray]) -> None:
+def save_checkpoint(path, records: Mapping[str, np.ndarray]) -> None:
     """Write records to ``path``, streamed one at a time into a temp file.
 
-    Every record is validated before the file is opened, so a bad record
-    leaves an existing file at ``path`` unchanged.
+    ``records`` is any mapping; each value is read, validated and written in
+    turn, so a lazy mapping such as ``snapshot_records`` has one record in
+    memory at a time. A bad record raises while the temp file is being
+    written, which removes it and leaves an existing file at ``path``
+    unchanged.
     """
-    arrays = [(name, _checked(name, arr)) for name, arr in records.items()]
     with atomic_open(path) as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(arrays)))
-        for name, arr in arrays:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(records)))
+        for name, arr in records.items():
+            arr = _checked(name, arr)
             wire = arr.astype("<u1" if name.endswith(MASK_SUFFIX) else "<f4",
                               order="C", copy=False)
             encoded = name.encode("utf-8")
@@ -173,11 +176,30 @@ def restore_model(model, records: dict[str, np.ndarray]) -> None:
             target.data[...] = value
 
 
-def snapshot_records(snapshots) -> dict[str, np.ndarray]:
-    """Flatten per-epoch mask snapshots into one container's records."""
-    records: dict[str, np.ndarray] = {}
-    for snap in snapshots:
-        for layer_name, mask in snap.masks.items():
-            records[f"epoch{snap.epoch:04d}/{layer_name}{MASK_SUFFIX}"] = \
-                np.asarray(mask).astype(np.uint8)
-    return records
+class _SnapshotRecords(Mapping):
+    """Read-only ``epochNNNN/{layer}/mask`` records over packed snapshots."""
+
+    def __init__(self, snapshots):
+        self._where = {f"epoch{snap.epoch:04d}/{layer}{MASK_SUFFIX}": (snap, layer)
+                       for snap in snapshots for layer in snap.layers}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        snap, layer = self._where[name]
+        return snap.unpacked(layer)
+
+    def __iter__(self):
+        return iter(self._where)
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+
+def snapshot_records(snapshots) -> Mapping[str, np.ndarray]:
+    """Per-epoch mask snapshots as one container's records, in epoch then
+    layer order.
+
+    The mapping holds no mask bytes: each read unpacks that one layer of that
+    one snapshot into a fresh u8 array, so ``save_checkpoint`` streams
+    ``masks.bin`` with one record unpacked at a time.
+    """
+    return _SnapshotRecords(snapshots)

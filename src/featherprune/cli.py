@@ -17,7 +17,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +196,12 @@ def cmd_sweep(args) -> int:
                 + [f"run.seed={seed}"]
             jobs.append((file_text, overrides, str(cell_dir / f"seed{seed}")))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        # Imported here so that only a sweep with a pool loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs))
     else:
         results = [_run_cell(job) for job in jobs]
@@ -231,7 +234,7 @@ def _snapshots_from_records(records: dict) -> list[MaskSnapshot]:
             raise FormatError(f"unexpected record {name!r} in mask container")
         epoch = int(prefix[len("epoch"):])
         layer = rest[: -len(MASK_SUFFIX)]
-        by_epoch.setdefault(epoch, {})[layer] = value.astype(bool)
+        by_epoch.setdefault(epoch, {})[layer] = value  # packed from u8, no bool copy
     return [MaskSnapshot(epoch, masks) for epoch, masks in sorted(by_epoch.items())]
 
 

@@ -2,7 +2,8 @@
 
 Nothing here imports the package under test, except ``two_phase_ste_step``,
 which drives the package's tape and thresholding to replay a training step
-the way the package once ran it. The forward passes are written the long way
+the way the package once ran it, and ``stability_curve_bool``, which
+correlates through the package's ``mask_pearson``. The forward passes are written the long way
 (explicit loops where that removes any shared structure with the library) so
 agreement is evidence, not tautology.
 """
@@ -246,3 +247,50 @@ def idx_pixels_whole_array(pixels: np.ndarray) -> np.ndarray:
     images = pixels.astype(np.float32)
     images /= 255.0
     return images
+
+
+class BoolMaskSnapshot:
+    """A per-epoch mask snapshot the way ``MaskSnapshot`` once held it: the
+    layer masks themselves, one bool (or u8) byte per weight."""
+
+    def __init__(self, epoch: int, masks: dict):
+        self.epoch = epoch
+        self.masks = masks
+
+
+def stability_curve_bool(snapshots) -> list:
+    """``stability_curve`` as it ran over snapshots holding bool masks: each
+    snapshot's layers raveled, concatenated and cast to bool, then correlated
+    with the final one by the package's ``mask_pearson``."""
+    from featherprune.analysis import mask_pearson
+
+    def concat(snapshot):
+        if not snapshot.masks:
+            raise ValueError(f"snapshot for epoch {snapshot.epoch} holds no masks")
+        return np.concatenate([np.ravel(m) for m in snapshot.masks.values()]).astype(
+            bool, copy=False)
+
+    if not snapshots:
+        raise ValueError("no mask snapshots to correlate")
+    final = concat(snapshots[-1])
+    curve = []
+    for snap in snapshots:
+        current = concat(snap)
+        if current.size != final.size:
+            raise ValueError(
+                f"epoch {snap.epoch} mask vector has {current.size} entries, "
+                f"final has {final.size}"
+            )
+        curve.append((snap.epoch, float(mask_pearson(current, final))))
+    return curve
+
+
+def snapshot_records_u8(snapshots) -> dict:
+    """``masks.bin`` records the way ``snapshot_records`` once built them: a
+    u8 copy of every epoch's every layer, all in one dict."""
+    records = {}
+    for snap in snapshots:
+        for layer_name, mask in snap.masks.items():
+            records[f"epoch{snap.epoch:04d}/{layer_name}/mask"] = \
+                np.asarray(mask).astype(np.uint8)
+    return records

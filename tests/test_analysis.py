@@ -4,6 +4,8 @@ Pearson values are cross-checked against a float64 textbook implementation in
 oracles.py; FLOPs examples are hand arithmetic.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from featherprune.models import build_cnn, build_mlp
 from featherprune.seeding import init_rng
 
 from memtrace import peak_bytes
-from oracles import mask_pearson_two_vector
+from oracles import BoolMaskSnapshot, mask_pearson_two_vector, stability_curve_bool
 from oracles import pearson as pearson_oracle
 
 
@@ -216,6 +218,70 @@ class TestStabilityCurve:
         assert lines[0] == "epoch,r"
         assert lines[1] == "0,0.25"
         assert lines[2] == "1,1.0"
+
+
+def unaligned_shapes():
+    """Shapes of rank 1, 2 or 4 whose element count is not a multiple of 8."""
+    return (st.sampled_from([1, 2, 4])
+            .flatmap(lambda rank: st.tuples(*[st.integers(1, 11)] * rank))
+            .filter(lambda shape: math.prod(shape) % 8))
+
+
+def snapshot_masks(rng, shapes, density, as_uint8):
+    """One epoch's layer masks; u8 masks carry arbitrary nonzero kept values."""
+    masks = {}
+    for i, shape in enumerate(shapes):
+        mask = rng.random(shape) < density
+        if as_uint8:
+            mask = mask * rng.integers(1, 256, size=shape, dtype=np.uint8)
+        masks[f"layer{i}"] = mask
+    return masks
+
+
+class TestPackedSnapshot:
+    """A snapshot keeps each layer one bit per weight and reads back fresh
+    arrays of the original shapes, with nonzero entries as kept."""
+
+    @given(shapes=st.lists(unaligned_shapes(), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1), as_uint8=st.booleans(),
+           density=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, shapes, seed, as_uint8, density):
+        masks = snapshot_masks(np.random.default_rng(seed), shapes, density, as_uint8)
+        snap = MaskSnapshot(7, masks)
+        got = snap.masks
+        assert snap.epoch == 7 and snap.layers == list(got) == list(masks)
+        for name, mask in masks.items():
+            kept = mask != 0
+            assert got[name].dtype == np.bool_ and got[name].shape == mask.shape
+            assert got[name].tobytes() == kept.tobytes()
+            wire = snap.unpacked(name)
+            assert wire.dtype == np.uint8 and wire.shape == mask.shape
+            assert wire.tobytes() == kept.astype(np.uint8).tobytes()
+
+    def test_reads_are_fresh_arrays(self):
+        mask = bools(1, 0, 1, 1, 0)
+        snap = MaskSnapshot(0, {"fc0": mask})
+        mask[:] = False
+        snap.masks["fc0"][:] = False
+        snap.unpacked("fc0")[:] = 0
+        np.testing.assert_array_equal(snap.masks["fc0"], bools(1, 0, 1, 1, 0))
+        assert not np.shares_memory(snap.masks["fc0"], snap.masks["fc0"])
+
+    @given(shapes=st.lists(unaligned_shapes(), min_size=1, max_size=3),
+           epochs=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           as_uint8=st.booleans(), density=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_curve_bits_match_bool_snapshots(self, shapes, epochs, seed, as_uint8, density):
+        if sum(math.prod(shape) for shape in shapes) < 2:
+            return
+        rng = np.random.default_rng(seed)
+        history = [snapshot_masks(rng, shapes, density, as_uint8) for _ in range(epochs)]
+        got = stability_curve([MaskSnapshot(e, masks) for e, masks in enumerate(history)])
+        want = stability_curve_bool([BoolMaskSnapshot(e, masks)
+                                     for e, masks in enumerate(history)])
+        assert [e for e, _ in got] == [e for e, _ in want]
+        assert all(same_bits(g, w) for (_, g), (_, w) in zip(got, want))
 
 
 def half_mask(shape):

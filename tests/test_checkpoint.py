@@ -4,6 +4,7 @@ The expected-bytes test builds the file by hand with struct.pack so the wire
 format is pinned independently of the writer.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -27,6 +28,7 @@ from featherprune.models import build_mlp
 from featherprune.seeding import init_rng
 
 from memtrace import peak_bytes
+from oracles import snapshot_records_u8
 
 
 def sample_records():
@@ -165,6 +167,21 @@ class TestStreamedWrite:
         loaded = load_checkpoint(path)
         for name, arr in records.items():
             assert loaded[name].tobytes() == np.asarray(arr).astype(loaded[name].dtype).tobytes()
+
+    def test_mask_history_peaks_at_one_unpacked_epoch(self, tmp_path):
+        # masks.bin unpacks one record of one packed snapshot at a time; the
+        # whole u8 history (20 epochs of 266,200 weights) is never built
+        rng = np.random.default_rng(0)
+        shapes = {"fc0": (784, 300), "fc1": (300, 100), "fc2": (100, 10)}
+        snaps = [MaskSnapshot(e, {name: rng.random(shape) < 0.02
+                                  for name, shape in shapes.items()})
+                 for e in range(20)]
+        path, want = tmp_path / "masks.bin", tmp_path / "want.bin"
+        save_checkpoint(path, snapshot_records(snaps))
+        _, peak = peak_bytes(lambda: save_checkpoint(path, snapshot_records(snaps)))
+        assert peak <= sum(map(math.prod, shapes.values())) + 64 * 1024, f"peak {peak} bytes"
+        save_checkpoint(want, snapshot_records_u8(snaps))
+        assert path.read_bytes() == want.read_bytes()
 
 
 class TestLoadErrors:

@@ -63,6 +63,23 @@ class TestTrain:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
 
+    def test_artifacts_match_bool_mask_history(self, tmp_path, monkeypatch):
+        # packed snapshots write the bytes that the one-byte-per-weight
+        # history and its all-at-once u8 records wrote
+        from oracles import BoolMaskSnapshot, snapshot_records_u8, stability_curve_bool
+
+        from featherprune import cli, trainer
+
+        extra = ["--set", "train.epochs=5", "--set", "prune.final_sparsity=0.9"]
+        assert run_train(tmp_path / "packed", extra) == 0
+        monkeypatch.setattr(trainer, "MaskSnapshot", BoolMaskSnapshot)
+        monkeypatch.setattr(trainer, "stability_curve", stability_curve_bool)
+        monkeypatch.setattr(cli, "snapshot_records", snapshot_records_u8)
+        assert run_train(tmp_path / "bool", extra) == 0
+        for name in ("metrics.csv", "masks.bin", "final.fthr", "config.txt"):
+            assert (tmp_path / "packed" / name).read_bytes() == \
+                (tmp_path / "bool" / name).read_bytes(), name
+
     def test_run_dir_holds_only_artifacts(self, tmp_path):
         # artifacts are written through temp files that are renamed into place
         run_train(tmp_path / "a")
@@ -347,6 +364,23 @@ class TestSweep:
         assert main(["sweep", *args, "--jobs", "2"]) == 0
         assert (a / "sweep.csv").read_text() == (b / "sweep.csv").read_text()
 
+    @pytest.mark.parametrize("seeds,started", [("0", 0), ("0,1", 2)])
+    def test_pool_starts_no_more_workers_than_runs(self, tmp_path, monkeypatch, seeds, started):
+        from multiprocessing.process import BaseProcess
+
+        starts = []
+        start = BaseProcess.start
+
+        def counted(process):
+            starts.append(process)
+            start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", counted)
+        assert main(["sweep", "--out", str(tmp_path), *BASE, "--axis",
+                     "prune.final_sparsity=0.5", "--seeds", seeds, "--jobs", "3"]) == 0
+        assert len(starts) == started
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1].endswith(",0")
+
     def test_failed_csv_write_keeps_old_csv_and_no_temp_file(self, tmp_path, monkeypatch):
         args = ["sweep", "--out", str(tmp_path), *BASE,
                 "--axis", "prune.final_sparsity=0.5", "--seeds"]
@@ -434,6 +468,21 @@ def test_console_script_end_to_end(tmp_path):
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "r" / "final.fthr").exists()
     assert "val_top1=" in result.stdout
+
+
+def test_import_loads_neither_hashlib_nor_multiprocessing(tmp_path):
+    # OpenSSL behind hashlib and the process pool are megabytes of every
+    # featherprune process; only a sweep that starts a pool needs the latter
+    code = ("import sys, featherprune, featherprune.cli\n"
+            "with featherprune.checkpoint.atomic_open(sys.argv[1]) as fh:\n"
+            "    fh.write(b'x')\n"
+            "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))")
+    src = str(Path(featherprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "artifact")],
+                            capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def _is_glibc():

@@ -405,6 +405,26 @@ class TestNothingLeftOver:
         assert len(calls) == steps * 9
         assert sum(id(t) in params for t in calls) == steps * 6
 
+    def test_mask_history_is_one_bit_per_weight(self):
+        import tracemalloc
+
+        # the 784-300-100-10 MLP's 266,200 weights, on a few samples
+        data = load_dataset(DatasetDescriptor(kind="blobs", dims=784, classes=10,
+                                              samples=80, noise=0.3, seed=1))
+        model = build_mlp(784, [300, 100], 10, init_rng(1))
+        n = sum(layer.weight.data.size for layer in model.layers)
+        epochs = 4
+        tracemalloc.start()
+        try:
+            result = train(small_config(epochs=epochs, final_sparsity=0.98), model, data)
+            before = tracemalloc.get_traced_memory()[0]
+            result.snapshots.clear()
+            held = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # one byte per weight would be 266,200 bytes an epoch
+        assert held <= epochs * (-(-n // 8) + 2048), f"{held} bytes"
+
 
 class TestMetricsCsv:
     def test_round_trip(self):
