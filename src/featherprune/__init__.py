@@ -28,7 +28,7 @@ from .feather import (
     select_theta,
 )
 from .models import Model, build_cnn, build_mlp
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor
 from .thresholding import ThresholdOperator, apply_threshold, select_threshold
 from .trainer import RunMetrics, TrainConfig, cosine_lr, sgd_step, train, train_dense
 
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "Tape",
-    "backward",
     "ThresholdOperator",
     "apply_threshold",
     "select_threshold",

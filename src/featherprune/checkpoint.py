@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import MaskSnapshot
 from .errors import FormatError
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "model_records",
     "restore_model",
     "snapshot_records",
+    "load_snapshots",
 ]
 
 MAGIC = b"FTHR"
@@ -203,3 +205,17 @@ def snapshot_records(snapshots) -> Mapping[str, np.ndarray]:
     ``masks.bin`` with one record unpacked at a time.
     """
     return _SnapshotRecords(snapshots)
+
+
+def load_snapshots(path) -> list[MaskSnapshot]:
+    """The per-epoch masks of a container that ``snapshot_records`` laid out,
+    in epoch order. A record not named ``epoch<digits>/{layer}/mask`` is a
+    ``FormatError`` that names it."""
+    by_epoch: dict[int, dict] = {}
+    for name, value in load_checkpoint(path).items():
+        prefix, _, rest = name.partition("/")
+        digits = prefix[len("epoch"):]
+        if not (prefix.startswith("epoch") and digits.isdecimal() and rest.endswith(MASK_SUFFIX)):
+            raise FormatError(f"unexpected record {name!r} in mask container")
+        by_epoch.setdefault(int(digits), {})[rest[: -len(MASK_SUFFIX)]] = value
+    return [MaskSnapshot(epoch, masks) for epoch, masks in sorted(by_epoch.items())]

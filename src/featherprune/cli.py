@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MaskSnapshot, curve_to_csv, flops_count, stability_curve
+from .analysis import curve_to_csv, flops_count, stability_curve
 from .checkpoint import (
     MASK_SUFFIX,
     atomic_open,
     load_checkpoint,
+    load_snapshots,
     model_records,
     restore_model,
     save_checkpoint,
@@ -40,7 +41,7 @@ from .config import (
     config_to_text,
     resolve_config,
 )
-from .datasets import DatasetDescriptor, _read_image_header, load_dataset
+from .datasets import load_dataset, read_input_shape
 from .errors import ConfigError, FormatError, TrainingDivergedError
 from .feather import PruneLayerState, feather_forward
 from .thresholding import apply_threshold  # noqa: F401 - unused; perfbench's tracer patches this name
@@ -55,11 +56,10 @@ def run_spec(spec: RunSpec) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(spec.descriptor, expected_classes=spec.values["model.classes"])
     model = build_model_for(spec.values, dataset.input_shape, spec.train.seed)
-    with atomic_open(out / "config.txt", "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(spec.values))
+    _write_text(out / "config.txt", config_to_text(spec.values))
 
     result = train(spec.train, model, dataset)
-    result.metrics.write_csv(out / "metrics.csv")
+    _write_text(out / "metrics.csv", result.metrics.to_csv())
     save_checkpoint(out / "masks.bin", snapshot_records(result.snapshots))
     save_checkpoint(out / "final.fthr", model_records(model, result.states))
 
@@ -80,19 +80,14 @@ def _resolved(args) -> dict:
     return resolve_config(file_text, overrides)
 
 
-def _input_shape(desc: DatasetDescriptor) -> tuple:
-    if desc.kind == "blobs":
-        return (desc.dims,)
-    with open(desc.images_path, "rb") as fh:
-        header = fh.read(16)
-    _, rows, cols = _read_image_header(header, desc.images_path)
-    return (1, rows, cols)
+def _write_text(path, text: str) -> None:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with atomic_open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -220,29 +215,13 @@ def cmd_sweep(args) -> int:
         mean = float(np.mean(accs)) if accs else math.nan
         std = float(np.std(accs)) if accs else math.nan
         lines.append(",".join(list(combo) + [str(len(accs)), repr(mean), repr(std), str(failures)]))
-    with atomic_open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(cells)} cells x {len(seeds)} seeds -> {out / 'sweep.csv'}")
     return 0
 
 
-def _snapshots_from_records(records: dict) -> list[MaskSnapshot]:
-    by_epoch: dict[int, dict] = {}
-    for name, value in records.items():
-        prefix, _, rest = name.partition("/")
-        if not prefix.startswith("epoch") or not rest.endswith(MASK_SUFFIX):
-            raise FormatError(f"unexpected record {name!r} in mask container")
-        epoch = int(prefix[len("epoch"):])
-        layer = rest[: -len(MASK_SUFFIX)]
-        by_epoch.setdefault(epoch, {})[layer] = value  # packed from u8, no bool copy
-    return [MaskSnapshot(epoch, masks) for epoch, masks in sorted(by_epoch.items())]
-
-
 def cmd_analyze_masks(args) -> int:
-    records = load_checkpoint(args.masks)
-    snapshots = _snapshots_from_records(records)
-    curve = stability_curve(snapshots)
-    _emit(curve_to_csv(curve), args.out)
+    _emit(curve_to_csv(stability_curve(load_snapshots(args.masks))), args.out)
     return 0
 
 
@@ -251,7 +230,7 @@ def cmd_flops(args) -> int:
     _check_run_config(args.checkpoint, values,
                       ("model.arch", "model.hidden", "model.channels", "model.classes"))
     records = load_checkpoint(args.checkpoint)
-    shape = _input_shape(build_descriptor(values))
+    shape = read_input_shape(build_descriptor(values))
     model = build_model_for(values, shape, values["run.seed"])
     masks = {}
     for layer in model.layers:

@@ -30,6 +30,7 @@ __all__ = [
     "load_idx",
     "synth_blobs",
     "load_dataset",
+    "read_input_shape",
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -229,3 +230,13 @@ def load_dataset(desc: DatasetDescriptor,
         num_classes=num_classes,
         input_shape=tuple(data.shape[1:]),
     )
+
+
+def read_input_shape(desc: DatasetDescriptor) -> tuple:
+    """One sample's shape without loading the data: ``(dims,)`` for blobs,
+    ``(1, rows, cols)`` from the header of an IDX image file."""
+    if desc.kind == "blobs":
+        return (desc.dims,)
+    with open(desc.images_path, "rb") as fh:
+        _, rows, cols = _read_image_header(fh.read(16), desc.images_path)
+    return (1, rows, cols)

@@ -122,13 +122,9 @@ def build_cnn(input_shape: tuple[int, int, int], num_classes: int,
               rng: np.random.Generator,
               channels: tuple[int, int] = (8, 16)) -> Model:
     """Two stride-2 3x3 conv layers followed by a classifier head."""
-    c, h, w = input_shape
     c1, c2 = channels
-    conv1 = ConvLayer("conv1", c, c1, 3, rng, stride=2, padding=1)
+    conv1 = ConvLayer("conv1", input_shape[0], c1, 3, rng, stride=2, padding=1)
     conv2 = ConvLayer("conv2", c1, c2, 3, rng, stride=2, padding=1)
-    h2 = ((h + 2 - 3) // 2 + 1)
-    h4 = ((h2 + 2 - 3) // 2 + 1)
-    w2 = ((w + 2 - 3) // 2 + 1)
-    w4 = ((w2 + 2 - 3) // 2 + 1)
-    head = DenseLayer("fc0", c2 * h4 * w4, num_classes, rng)
+    features = Model([conv1, conv2], input_shape, num_classes).layer_output_shapes()[-1]
+    head = DenseLayer("fc0", math.prod(features), num_classes, rng)
     return Model([conv1, conv2, head], input_shape, num_classes)

@@ -34,7 +34,6 @@ __all__ = [
     "flatten",
     "sum_all",
     "softmax_cross_entropy",
-    "backward",
 ]
 
 # backward_fn: gradient w.r.t. the record's output -> [(input, grad contribution)]
@@ -162,14 +161,6 @@ class Tape:
                 owner = owner.base
             tensor.accumulate_grad(g, copy=id(owner) in claimed)
             claimed.add(id(owner))
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss on the active tape."""
-    tape = Tape.current()
-    if tape is None:
-        raise ValueError("backward called with no active tape")
-    tape.backward(loss)
 
 
 def _check_finite(arr: np.ndarray, op_name: str) -> None:

@@ -30,7 +30,6 @@ from .backbones import (
     cubic_sparsity,
     measured_sparsity,
 )
-from .checkpoint import atomic_open
 from .datasets import decode_features
 from .errors import NonFiniteError, TrainingDivergedError
 from .feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
@@ -112,32 +111,15 @@ class RunMetrics:
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
-
-    @staticmethod
-    def from_csv(text: str) -> "RunMetrics":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != METRICS_HEADER:
-            raise ValueError("unrecognized metrics CSV header")
-        records = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            records.append(EpochRecord(
-                epoch=int(parts[0]),
-                train_loss=float(parts[1]),
-                val_top1=float(parts[2]),
-                achieved_sparsity=float(parts[3]),
-                lr=float(parts[4]),
-                theta=float(parts[5]),
-                mask_pearson_vs_final=float(parts[6]),
-            ))
-        return RunMetrics(records)
-
 
 @dataclass
 class TrainResult:
+    """A finished run. Each ``metrics`` record's ``val_top1`` scores the
+    network under that epoch's thresholds. ``states`` hold the thresholds
+    re-selected on the settled weights after the last epoch, and the masks
+    they give, which is what a checkpoint built from them stores; so the top-1
+    of that checkpoint can differ from the last recorded ``val_top1``."""
+
     metrics: RunMetrics
     snapshots: list[MaskSnapshot]
     theta: float
@@ -202,15 +184,18 @@ def _fill_pearson(records: list[EpochRecord], snapshots: list[MaskSnapshot]) -> 
 
 
 def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
-    """Sparse training under the configured backbone, operator, and policy."""
+    """Sparse training under the configured backbone, operator, and policy.
+
+    The last epoch's ``val_top1`` is measured before the thresholds are
+    re-selected on the final weights; see :class:`TrainResult`.
+    """
+    theta = select_theta(config.grad_policy, config.schedule.final_sparsity)
     pairs = [
-        (layer, PruneLayerState(layer.name, layer.kind, layer.weight, config.operator))
+        (layer, PruneLayerState(layer.name, layer.kind, layer.weight, config.operator,
+                                theta=theta))
         for layer in model.layers if layer.prunable
     ]
     states = [state for _, state in pairs]
-    theta = select_theta(config.grad_policy, config.schedule.final_sparsity)
-    for state in states:
-        state.theta = theta
 
     params = model.parameters()
     buffers = {id(p): np.zeros_like(p.data) for p in params}

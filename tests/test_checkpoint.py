@@ -18,6 +18,7 @@ from featherprune.checkpoint import (
     MASK_SUFFIX,
     VERSION,
     load_checkpoint,
+    load_snapshots,
     model_records,
     restore_model,
     save_checkpoint,
@@ -329,3 +330,28 @@ class TestModelBridge:
         records = snapshot_records(snaps)
         assert list(records) == ["epoch0000/fc0/mask", "epoch0012/fc0/mask"]
         np.testing.assert_array_equal(records["epoch0012/fc0/mask"], [1, 1])
+
+    def test_load_snapshots_returns_what_snapshot_records_wrote(self, tmp_path):
+        rng = np.random.default_rng(4)
+        shapes = {"conv1": (4, 1, 3, 3), "fc0": (6, 5), "fc1": (5, 3)}
+        snaps = [MaskSnapshot(epoch, {name: rng.random(shape) < 0.3
+                                      for name, shape in shapes.items()})
+                 for epoch in (3, 0, 12)]
+        path = tmp_path / "masks.bin"
+        save_checkpoint(path, snapshot_records(snaps))
+        back = load_snapshots(path)
+        assert [snap.epoch for snap in back] == [0, 3, 12]
+        for want, got in zip(sorted(snaps, key=lambda snap: snap.epoch), back):
+            assert got.layers == list(shapes)
+            for name, mask in want.masks.items():
+                assert got.masks[name].shape == shapes[name]
+                np.testing.assert_array_equal(got.masks[name], mask)
+
+    @pytest.mark.parametrize("name", ["epochX/fc0/mask", "epoch/fc0/mask",
+                                      "step0001/fc0/mask", "epoch0001/fc0/weight"])
+    def test_load_snapshots_names_unexpected_record(self, tmp_path, name):
+        path = tmp_path / "masks.bin"
+        value = np.ones(2, dtype=np.uint8 if name.endswith(MASK_SUFFIX) else np.float32)
+        save_checkpoint(path, {"epoch0000/fc0/mask": np.ones(2, dtype=np.uint8), name: value})
+        with pytest.raises(FormatError, match=f"unexpected record '{name}'"):
+            load_snapshots(path)

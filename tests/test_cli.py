@@ -202,6 +202,12 @@ class TestAnalyzeMasks:
         assert main(["analyze-masks", "--masks", str(bad)]) == 1
         assert "run failed" in capsys.readouterr().err
 
+    def test_non_numeric_epoch_names_the_record(self, tmp_path, capsys):
+        bad = tmp_path / "masks.bin"
+        save_checkpoint(bad, {"epochX/fc0/mask": np.ones(3, dtype=np.uint8)})
+        assert main(["analyze-masks", "--masks", str(bad)]) == 1
+        assert "unexpected record 'epochX/fc0/mask'" in capsys.readouterr().err
+
 
 class TestOutFile:
     """``eval``, ``analyze-masks`` and ``flops`` write ``--out`` atomically."""

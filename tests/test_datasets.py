@@ -20,6 +20,7 @@ from featherprune.datasets import (
     decode_features,
     load_dataset,
     load_idx,
+    read_input_shape,
     synth_blobs,
 )
 from featherprune.errors import ConfigError, FormatError
@@ -380,6 +381,14 @@ class TestLoadDataset:
         assert data.num_classes == 10
         assert data.input_shape == (1, 4, 4)
         assert len(data.train_x) == 8
+
+    def test_read_input_shape_matches_loaded_shape(self, tmp_path):
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(idx_images(np.zeros((5, 3, 7), dtype=np.uint8)))
+        lbl.write_bytes(idx_labels([0, 1, 0, 1, 0]))
+        for desc in (DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl),
+                     blob_desc()):
+            assert read_input_shape(desc) == load_dataset(desc).input_shape
 
     def test_class_count_disagreement(self):
         with pytest.raises(ConfigError, match="classes"):

@@ -427,27 +427,21 @@ class TestNothingLeftOver:
 
 
 class TestMetricsCsv:
-    def test_round_trip(self):
-        data = small_dataset()
-        result = train(small_config(epochs=3, final_sparsity=0.5), small_model(), data)
-        text = result.metrics.to_csv()
-        back = RunMetrics.from_csv(text)
-        assert back.to_csv() == text
-
     def test_header_contract(self):
         assert METRICS_HEADER.split(",") == [
             "epoch", "train_loss", "val_top1", "achieved_sparsity",
             "lr", "theta", "mask_pearson_vs_final",
         ]
 
-    def test_rejects_foreign_header(self):
-        with pytest.raises(ValueError, match="header"):
-            RunMetrics.from_csv("a,b,c\n1,2,3\n")
-
     def test_floats_survive_exactly(self):
         # repr round-trips doubles; a third of a float is a good canary
         from featherprune.trainer import EpochRecord
         record = EpochRecord(0, 1 / 3, 2 / 3, 0.9, 0.1, 0.5, -1 / 7)
-        metrics = RunMetrics([record])
-        back = RunMetrics.from_csv(metrics.to_csv())
-        assert back.records[0] == record
+        header, row = RunMetrics([record]).to_csv().splitlines()
+        assert header == METRICS_HEADER
+        epoch, *floats = row.split(",")
+        assert int(epoch) == record.epoch
+        assert [float(v) for v in floats] == [
+            record.train_loss, record.val_top1, record.achieved_sparsity,
+            record.lr, record.theta, record.mask_pearson_vs_final,
+        ]
