@@ -16,7 +16,6 @@ from .datasets import (
     SplitDataset,
     decode_features,
     load_dataset,
-    load_idx,
     synth_blobs,
 )
 from .errors import ConfigError, FormatError, NonFiniteError, TrainingDivergedError
@@ -66,7 +65,6 @@ __all__ = [
     "DatasetDescriptor",
     "SplitDataset",
     "decode_features",
-    "load_idx",
     "synth_blobs",
     "load_dataset",
     "save_checkpoint",

@@ -5,7 +5,8 @@ record count, then per record: name length, UTF-8 name, rank, one u32 per
 dim, raw element bytes. There is no dtype field; records named ``*/mask``
 hold u8 elements, every other record holds 32-bit little-endian reals. The
 writer emits records in insertion order and the reader preserves it, so a
-save/load/save cycle is byte-identical.
+save/load/save cycle is byte-identical. The reader hands out read-only views
+of the bytes it read.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
+def _wire_dtype(name: str) -> np.dtype:
+    """``*/mask`` records are u8 on the wire, all others little-endian f32."""
+    return np.dtype("<u1" if name.endswith(MASK_SUFFIX) else "<f4")
+
+
 def _checked(name: str, arr) -> np.ndarray:
     """One record as an array, after checking its dtype against its name."""
     arr = np.asarray(arr)
@@ -81,8 +87,7 @@ def save_checkpoint(path, records: Mapping[str, np.ndarray]) -> None:
         fh.write(MAGIC + struct.pack("<II", VERSION, len(records)))
         for name, arr in records.items():
             arr = _checked(name, arr)
-            wire = arr.astype("<u1" if name.endswith(MASK_SUFFIX) else "<f4",
-                              order="C", copy=False)
+            wire = arr.astype(_wire_dtype(name), order="C", copy=False)
             encoded = name.encode("utf-8")
             fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
                                  len(encoded), encoded, arr.ndim, *arr.shape))
@@ -90,32 +95,34 @@ def save_checkpoint(path, records: Mapping[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The records of the container at ``path``, in file order, each a
+    read-only view of the one read of the file: copy one before writing to it."""
     blob = Path(path).read_bytes()
     offset = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> int:
+        """Step over the next ``n`` bytes; returns the offset they start at."""
         nonlocal offset
         if offset + n > len(blob):
             raise FormatError(
                 f"truncated checkpoint: {what} needs {n} bytes at offset {offset}, "
                 f"file ends at {len(blob)}"
             )
-        chunk = blob[offset : offset + n]
         offset += n
-        return chunk
+        return offset - n
 
-    magic = take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    version, count = struct.unpack("<II", take(8, "header"))
+    take(4, "magic")
+    if blob[:4] != MAGIC:
+        raise FormatError(f"bad magic {blob[:4]!r} at offset 0, expected {MAGIC!r}")
+    version, count = struct.unpack_from("<II", blob, take(8, "header"))
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version} at offset 4")
 
     records: dict[str, np.ndarray] = {}
     for i in range(count):
-        (name_len,) = struct.unpack("<I", take(4, f"record {i} name length"))
-        name_offset = offset
-        raw_name = take(name_len, f"record {i} name")
+        (name_len,) = struct.unpack_from("<I", blob, take(4, f"record {i} name length"))
+        name_offset = take(name_len, f"record {i} name")
+        raw_name = blob[name_offset:offset]
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -123,22 +130,17 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 f"record {i} name is not UTF-8: byte 0x{raw_name[exc.start]:02x} "
                 f"at offset {name_offset + exc.start}"
             ) from None
-        rank_offset = offset
-        (rank,) = struct.unpack("<I", take(4, f"record {i} rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {i} dims")) if rank else ()
-        n_elems = math.prod(dims)
-        if name.endswith(MASK_SUFFIX):
-            dtype, itemsize = np.uint8, 1
-        else:
-            dtype, itemsize = np.float32, 4
-        raw = take(n_elems * itemsize, f"record {i} ({name}) data")
+        rank_offset = take(4, f"record {i} rank")
+        (rank,) = struct.unpack_from("<I", blob, rank_offset)
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"record {i} dims"))
+        dtype, n_elems = _wire_dtype(name), math.prod(dims)
+        data_offset = take(n_elems * dtype.itemsize, f"record {i} ({name}) data")
         if name in records:
             raise FormatError(
                 f"duplicate record name {name!r} (record {i}) at offset {name_offset}"
             )
         try:
-            flat = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
-            records[name] = flat.reshape(dims).astype(dtype)
+            records[name] = np.frombuffer(blob, dtype, n_elems, data_offset).reshape(dims)
         except ValueError as exc:  # more dims than numpy supports
             raise FormatError(
                 f"record {i} ({name}) rank {rank} at offset {rank_offset}: {exc}"
@@ -209,13 +211,20 @@ def snapshot_records(snapshots) -> Mapping[str, np.ndarray]:
 
 def load_snapshots(path) -> list[MaskSnapshot]:
     """The per-epoch masks of a container that ``snapshot_records`` laid out,
-    in epoch order. A record not named ``epoch<digits>/{layer}/mask`` is a
-    ``FormatError`` that names it."""
+    in epoch order. A record not named ``epoch<digits>/{layer}/mask``, or a
+    second record for the same epoch and layer, is a ``FormatError`` that
+    names it."""
     by_epoch: dict[int, dict] = {}
+    names: dict[tuple[int, str], str] = {}
     for name, value in load_checkpoint(path).items():
         prefix, _, rest = name.partition("/")
         digits = prefix[len("epoch"):]
         if not (prefix.startswith("epoch") and digits.isdecimal() and rest.endswith(MASK_SUFFIX)):
             raise FormatError(f"unexpected record {name!r} in mask container")
-        by_epoch.setdefault(int(digits), {})[rest[: -len(MASK_SUFFIX)]] = value
+        epoch, layer = int(digits), rest[: -len(MASK_SUFFIX)]
+        if (epoch, layer) in names:
+            raise FormatError(f"records {names[epoch, layer]!r} and {name!r} both hold "
+                              f"epoch {epoch} of layer {layer!r}")
+        names[epoch, layer] = name
+        by_epoch.setdefault(epoch, {})[layer] = value
     return [MaskSnapshot(epoch, masks) for epoch, masks in sorted(by_epoch.items())]

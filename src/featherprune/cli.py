@@ -121,11 +121,11 @@ def _check_run_config(checkpoint, values: dict, keys) -> None:
 def cmd_eval(args) -> int:
     values = _resolved(args)
     _check_run_config(args.checkpoint, values, ("prune.operator", "prune.p"))
+    op = build_operator(values)
     records = load_checkpoint(args.checkpoint)
     dataset = load_dataset(build_descriptor(values), expected_classes=values["model.classes"])
     model = build_model_for(values, dataset.input_shape, values["run.seed"])
     restore_model(model, records)
-    op = build_operator(values)
     overrides = {
         id(layer): feather_forward(PruneLayerState(
             layer.name, layer.kind, layer.weight, op,

@@ -152,7 +152,10 @@ def build_operator(values) -> ThresholdOperator:
         return ThresholdOperator.soft()
     if kind == "hard":
         return ThresholdOperator.hard()
-    return ThresholdOperator.power(values["prune.p"])
+    try:
+        return ThresholdOperator.power(values["prune.p"])
+    except ValueError as exc:
+        raise ConfigError(f"prune.p: {exc}") from None
 
 
 def build_descriptor(values) -> DatasetDescriptor:
@@ -231,14 +234,16 @@ def build_runspec(values: dict[str, object], out_dir) -> RunSpec:
 
 
 def build_model_for(values: dict[str, object], input_shape: tuple, seed: int) -> Model:
+    cnn = values["model.arch"] == "cnn"
+    key = "model.channels" if cnn else "model.hidden"
+    widths = values[key]
+    if min(widths, default=1) < 1 or (cnn and len(widths) != 2):
+        raise ConfigError(f"{key} must list {'two' if cnn else 'only'} positive widths, "
+                          f"got {_format(key, widths)!r}")
     num_classes = values["model.classes"]
     rng = init_rng(seed)
-    if values["model.arch"] == "cnn":
+    if cnn:
         if len(input_shape) != 3:
-            raise ConfigError(
-                f"cnn needs channel-height-width input, dataset provides {input_shape}"
-            )
-        return build_cnn(input_shape, num_classes, rng,
-                         channels=tuple(values["model.channels"]))
-    input_dim = math.prod(input_shape)
-    return build_mlp(input_dim, list(values["model.hidden"]), num_classes, rng)
+            raise ConfigError(f"cnn needs channel-height-width input, dataset provides {input_shape}")
+        return build_cnn(input_shape, num_classes, rng, channels=tuple(widths))
+    return build_mlp(math.prod(input_shape), list(widths), num_classes, rng)

@@ -1,11 +1,12 @@
 """Dataset ingestion: IDX image files and seeded synthetic Gaussian blobs.
 
-Both sources resolve to a :class:`SplitDataset` of stored rows and int64
-labels, split train/val by a leading fraction (data order is preserved; blob
-labels are assigned round-robin so a prefix split stays class-balanced). IDX
-rows stay the file's uint8 pixels and blob rows are float32 features;
-:func:`decode_features` turns whichever rows a step reads into float32
-features, so an image set is held at its stored size rather than 4x it.
+:func:`load_dataset` resolves both to a :class:`SplitDataset` of stored rows
+and int64 labels, split train/val by a leading fraction (data order is kept;
+blob labels go round-robin so a prefix split stays class-balanced). IDX rows
+are a read-only uint8 view of the image file's bytes, from the one IDX reader;
+blob rows are the float32 array :func:`synth_blobs` returns.
+:func:`decode_features` turns the rows a step reads into float32 features, so
+an image set is held at its stored size rather than 4x it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .seeding import DATA_STREAM, mix_seed
-from .tensor import Tensor
 
 __all__ = [
     "IDX_IMAGES_MAGIC",
@@ -27,7 +27,6 @@ __all__ = [
     "DatasetDescriptor",
     "SplitDataset",
     "decode_features",
-    "load_idx",
     "synth_blobs",
     "load_dataset",
     "read_input_shape",
@@ -113,6 +112,15 @@ def _read_image_header(blob: bytes, path) -> tuple[int, int, int]:
     return count, rows, cols
 
 
+def _check_size(blob: bytes, path, what: str, start: int, expected: int) -> None:
+    """An IDX file is exactly ``expected`` bytes, its ``what`` data from ``start``."""
+    if len(blob) < expected:
+        raise FormatError(f"{path}: truncated {what} data at offset {start}, needed {expected} "
+                          f"bytes, file ends at {len(blob)}")
+    if len(blob) > expected:
+        raise FormatError(f"{path}: {len(blob) - expected} trailing bytes at offset {expected}")
+
+
 def decode_features(rows: np.ndarray) -> np.ndarray:
     """Float32 features for stored rows: uint8 pixels scaled to [0, 1] as
     ``astype(float32)`` then ``/= 255.0``; float32 rows come back unchanged."""
@@ -125,29 +133,16 @@ def decode_features(rows: np.ndarray) -> np.ndarray:
 
 def _read_idx(images_path, labels_path, num_classes: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """The pixels of an IDX pair as a read-only uint8 [N, 1, rows, cols] view of
-    the image file's bytes, and the labels as int64."""
+    the image file's bytes, and the labels as int64. A label at or above
+    ``num_classes`` is a ``FormatError`` naming the offset of the first one."""
     img_blob = Path(images_path).read_bytes()
     count, rows, cols = _read_image_header(img_blob, images_path)
-    expected = 16 + count * rows * cols
-    if len(img_blob) < expected:
-        raise FormatError(
-            f"{images_path}: truncated pixel data at offset 16, needed {expected} bytes, "
-            f"file ends at {len(img_blob)}"
-        )
-    if len(img_blob) > expected:
-        raise FormatError(f"{images_path}: {len(img_blob) - expected} trailing bytes at offset {expected}")
+    _check_size(img_blob, images_path, "pixel", 16, 16 + count * rows * cols)
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(count, 1, rows, cols)
 
     lbl_blob = Path(labels_path).read_bytes()
     _, lbl_count = _read_header(lbl_blob, 2, labels_path, IDX_LABELS_MAGIC)
-    expected = 8 + lbl_count
-    if len(lbl_blob) < expected:
-        raise FormatError(
-            f"{labels_path}: truncated label data at offset 8, needed {expected} bytes, "
-            f"file ends at {len(lbl_blob)}"
-        )
-    if len(lbl_blob) > expected:
-        raise FormatError(f"{labels_path}: {len(lbl_blob) - expected} trailing bytes at offset {expected}")
+    _check_size(lbl_blob, labels_path, "label", 8, 8 + lbl_count)
     if lbl_count != count:
         raise FormatError(
             f"count mismatch at offset 4: {images_path} has {count} images, "
@@ -155,24 +150,15 @@ def _read_idx(images_path, labels_path, num_classes: Optional[int]) -> tuple[np.
         )
     labels = np.frombuffer(lbl_blob, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is not None and labels.max() >= num_classes:
-        raise ValueError(
-            f"{labels_path}: label {int(labels.max())} out of range for {num_classes} classes"
-        )
+        first = int(np.argmax(labels >= num_classes))
+        raise FormatError(f"{labels_path}: label {labels[first]} out of range for "
+                          f"{num_classes} classes at offset {8 + first}")
     return pixels, labels
 
 
-def load_idx(images_path, labels_path, num_classes: Optional[int] = None) -> tuple[Tensor, np.ndarray]:
-    """Load a big-endian IDX image/label file pair.
-
-    Images come back as a [N, 1, rows, cols] tensor scaled to [0, 1]. When
-    ``num_classes`` is given, any label outside [0, num_classes) is rejected.
-    """
-    pixels, labels = _read_idx(images_path, labels_path, num_classes)
-    return Tensor(decode_features(pixels)), labels
-
-
-def synth_blobs(desc: DatasetDescriptor) -> tuple[Tensor, np.ndarray]:
-    """Seeded Gaussian clusters with the minimum inter-center distance fixed at 1.
+def synth_blobs(desc: DatasetDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded Gaussian clusters, float32 ``[samples, dims]`` points and int64
+    labels, with the minimum inter-center distance fixed at 1.
 
     Class centers are standard-normal draws rescaled so the closest pair sits
     exactly one unit apart, making ``noise`` directly comparable to the class
@@ -200,7 +186,7 @@ def synth_blobs(desc: DatasetDescriptor) -> tuple[Tensor, np.ndarray]:
         block *= desc.noise
         block += centers[labels[start:stop]]
         points[start:stop] = block
-    return Tensor(points), labels
+    return points, labels
 
 
 def load_dataset(desc: DatasetDescriptor,
@@ -213,8 +199,7 @@ def load_dataset(desc: DatasetDescriptor,
             raise ConfigError(
                 f"model expects {expected_classes} classes, blobs descriptor has {desc.classes}"
             )
-        x, y = synth_blobs(desc)
-        data = x.data
+        data, y = synth_blobs(desc)
         num_classes = desc.classes
 
     n_train = int(desc.split * len(data))

@@ -185,6 +185,44 @@ class TestStreamedWrite:
         assert path.read_bytes() == want.read_bytes()
 
 
+class TestLoadedViews:
+    """``load_checkpoint`` reads the file once and hands out views of it."""
+
+    @staticmethod
+    def owner(arr):
+        while isinstance(arr, np.ndarray):
+            arr = arr.base
+        return arr
+
+    def test_records_are_read_only_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "ck.fthr"
+        save_checkpoint(path, sample_records())
+        loaded = load_checkpoint(path)
+        owners = {id(self.owner(arr)) for arr in loaded.values()}
+        assert len(owners) == 1
+        assert self.owner(loaded["fc0/weight"]) == path.read_bytes()
+        for name, arr in loaded.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_mask_history_load_peaks_at_the_file(self, tmp_path):
+        # a u8 copy of each record on top of the file's bytes (2x) fails this
+        rng = np.random.default_rng(0)
+        shapes = {"fc0": (784, 300), "fc1": (300, 100), "fc2": (100, 10)}
+        snaps = [MaskSnapshot(e, {name: rng.random(shape) < 0.02
+                                  for name, shape in shapes.items()})
+                 for e in range(20)]
+        path = tmp_path / "masks.bin"
+        save_checkpoint(path, snapshot_records(snaps))
+        load_checkpoint(path)  # numpy's one-off first-call allocations
+        records, peak = peak_bytes(load_checkpoint, path)
+        size = path.stat().st_size
+        assert peak <= size + 64 * 1024, f"peak {peak} bytes for a {size}-byte file"
+        assert len(records) == 60
+        np.testing.assert_array_equal(records["epoch0019/fc1/mask"], snaps[19].unpacked("fc1"))
+
+
 class TestLoadErrors:
     def write(self, tmp_path, blob):
         path = tmp_path / "bad.fthr"
@@ -354,4 +392,13 @@ class TestModelBridge:
         value = np.ones(2, dtype=np.uint8 if name.endswith(MASK_SUFFIX) else np.float32)
         save_checkpoint(path, {"epoch0000/fc0/mask": np.ones(2, dtype=np.uint8), name: value})
         with pytest.raises(FormatError, match=f"unexpected record '{name}'"):
+            load_snapshots(path)
+
+    def test_load_snapshots_rejects_a_repeated_epoch(self, tmp_path):
+        # epoch1 and epoch0001 are both epoch 1: neither may silently win
+        path = tmp_path / "masks.bin"
+        save_checkpoint(path, {"epoch1/fc0/mask": np.array([1, 0], dtype=np.uint8),
+                               "epoch0001/fc0/mask": np.array([0, 1], dtype=np.uint8)})
+        with pytest.raises(FormatError, match="records 'epoch1/fc0/mask' and "
+                                              "'epoch0001/fc0/mask' both hold epoch 1"):
             load_snapshots(path)

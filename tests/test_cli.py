@@ -208,6 +208,15 @@ class TestAnalyzeMasks:
         assert main(["analyze-masks", "--masks", str(bad)]) == 1
         assert "unexpected record 'epochX/fc0/mask'" in capsys.readouterr().err
 
+    def test_repeated_epoch_names_both_records(self, tmp_path, capsys):
+        bad = tmp_path / "masks.bin"
+        save_checkpoint(bad, {"epoch1/fc0/mask": np.array([1, 0], dtype=np.uint8),
+                              "epoch0001/fc0/mask": np.array([0, 1], dtype=np.uint8)})
+        assert main(["analyze-masks", "--masks", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'epoch1/fc0/mask' and 'epoch0001/fc0/mask'" in captured.err
+
 
 class TestOutFile:
     """``eval``, ``analyze-masks`` and ``flops`` write ``--out`` atomically."""
@@ -290,13 +299,13 @@ class TestFlops:
                                         b"\x00\x00\x08\x03" + bytes(3) + b"\x01" + bytes(8)],
                              ids=["truncated", "bad_magic", "zero_rows"])
     def test_idx_header_errors_match_loader(self, tmp_path, capsys, header):
-        from featherprune.datasets import load_idx
+        from featherprune.datasets import _read_idx
         from featherprune.errors import FormatError
         images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
         images.write_bytes(header)
         labels.write_bytes(b"\x00\x00\x08\x01" + bytes(4))
         with pytest.raises(FormatError) as loader_error:
-            load_idx(images, labels)
+            _read_idx(images, labels, None)
         ckpt = tmp_path / "empty.fthr"
         save_checkpoint(ckpt, {})
         code = main(["flops", "--checkpoint", str(ckpt),
@@ -454,6 +463,35 @@ class TestExitCodes:
         for name in ("metrics.csv", "masks.bin", "final.fthr"):
             assert (tmp_path / "default" / name).read_bytes() == \
                 (tmp_path / "set" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("override,message", [
+        ("model.channels=8", "model.channels must list two positive widths, got '8'"),
+        ("model.channels=0,16", "model.channels must list two positive widths, got '0,16'"),
+    ])
+    def test_bad_cnn_channels_are_two(self, tmp_path, capsys, override, message):
+        images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        images.write_bytes(b"\x00\x00\x08\x03" + (10).to_bytes(4, "big")
+                           + (4).to_bytes(4, "big") * 2 + bytes(160))
+        labels.write_bytes(b"\x00\x00\x08\x01" + (10).to_bytes(4, "big") + bytes(range(10)))
+        code = main(["train", "--out", str(tmp_path / "run"), "--set", "model.arch=cnn",
+                     "--set", "dataset.kind=idx", "--set", f"dataset.images={images}",
+                     "--set", f"dataset.labels={labels}", "--set", override])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_zero_hidden_width_is_two(self, tmp_path, capsys):
+        assert run_train(tmp_path, ["--set", "model.hidden=8,0"]) == 2
+        assert ("config error: model.hidden must list only positive widths, got '8,0'"
+                in capsys.readouterr().err)
+
+    def test_eval_power_below_one_is_two(self, tmp_path, capsys):
+        # no config.txt beside the checkpoint, so only the operator catches it
+        run_train(tmp_path / "run")
+        ckpt = tmp_path / "final.fthr"
+        ckpt.write_bytes((tmp_path / "run" / "final.fthr").read_bytes())
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *BASE, "--set", "prune.p=0.5"]) == 2
+        assert "config error: prune.p: power must be >= 1" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:

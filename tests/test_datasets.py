@@ -19,7 +19,6 @@ from featherprune.datasets import (
     DatasetDescriptor,
     decode_features,
     load_dataset,
-    load_idx,
     read_input_shape,
     synth_blobs,
 )
@@ -28,6 +27,11 @@ from featherprune.seeding import DATA_STREAM, mix_seed
 
 from memtrace import peak_bytes
 from oracles import idx_pixels_whole_array, synth_blobs_one_shot
+
+
+def read_idx(images_path, labels_path, num_classes=None):
+    """The package's one IDX reader: uint8 pixels as stored, int64 labels."""
+    return datasets._read_idx(images_path, labels_path, num_classes)
 
 
 def idx_images(images):
@@ -55,12 +59,13 @@ def idx_pair(tmp_path):
 class TestLoadIdx:
     def test_round_trip_values_and_layout(self, idx_pair):
         img_path, lbl_path, images, labels = idx_pair
-        x, y = load_idx(img_path, lbl_path)
-        assert x.data.shape == (2, 1, 3, 4)
-        assert x.data.dtype == np.float32
+        x, y = read_idx(img_path, lbl_path)
+        assert x.shape == (2, 1, 3, 4)
+        assert x.dtype == np.uint8
+        assert not x.flags.writeable
         np.testing.assert_array_equal(y, labels)
         np.testing.assert_array_equal(
-            x.data, images.reshape(2, 1, 3, 4).astype(np.float32) / 255.0
+            decode_features(x), images.reshape(2, 1, 3, 4).astype(np.float32) / 255.0
         )
 
     def test_pixels_scaled_to_unit_interval(self, tmp_path):
@@ -68,50 +73,50 @@ class TestLoadIdx:
         lbl = tmp_path / "l.idx"
         img.write_bytes(idx_images(np.full((1, 2, 2), 255, dtype=np.uint8)))
         lbl.write_bytes(idx_labels([0]))
-        x, _ = load_idx(img, lbl)
-        np.testing.assert_array_equal(x.data, np.ones((1, 1, 2, 2), dtype=np.float32))
+        x, _ = read_idx(img, lbl)
+        np.testing.assert_array_equal(decode_features(x), np.ones((1, 1, 2, 2), dtype=np.float32))
 
     def test_bad_image_magic_reports_offset(self, tmp_path, idx_pair):
         _, lbl_path, _, _ = idx_pair
         img = tmp_path / "bad.idx"
         img.write_bytes(struct.pack(">IIII", 0x00000801, 1, 2, 2) + bytes(4))
         with pytest.raises(FormatError, match="bad magic 0x00000801 at offset 0"):
-            load_idx(img, lbl_path)
+            read_idx(img, lbl_path)
 
     def test_bad_label_magic(self, tmp_path, idx_pair):
         img_path, _, _, _ = idx_pair
         lbl = tmp_path / "bad.idx"
         lbl.write_bytes(struct.pack(">II", 0x00000803, 2) + bytes(2))
         with pytest.raises(FormatError, match="bad magic"):
-            load_idx(img_path, lbl)
+            read_idx(img_path, lbl)
 
     def test_truncated_header(self, tmp_path, idx_pair):
         _, lbl_path, _, _ = idx_pair
         img = tmp_path / "short.idx"
         img.write_bytes(b"\x00\x00\x08")
         with pytest.raises(FormatError, match="truncated header.*ends at 3"):
-            load_idx(img, lbl_path)
+            read_idx(img, lbl_path)
 
     def test_truncated_pixels_names_expected_length(self, tmp_path, idx_pair):
         _, lbl_path, _, _ = idx_pair
         img = tmp_path / "short.idx"
         img.write_bytes(idx_images(np.zeros((2, 3, 4), dtype=np.uint8))[:-5])
         with pytest.raises(FormatError, match="needed 40 bytes, file ends at 35"):
-            load_idx(img, lbl_path)
+            read_idx(img, lbl_path)
 
     def test_trailing_bytes_rejected(self, tmp_path, idx_pair):
         _, lbl_path, _, _ = idx_pair
         img = tmp_path / "long.idx"
         img.write_bytes(idx_images(np.zeros((2, 3, 4), dtype=np.uint8)) + b"xx")
         with pytest.raises(FormatError, match="2 trailing bytes at offset 40"):
-            load_idx(img, lbl_path)
+            read_idx(img, lbl_path)
 
     def test_count_mismatch(self, tmp_path, idx_pair):
         img_path, _, _, _ = idx_pair
         lbl = tmp_path / "three.idx"
         lbl.write_bytes(idx_labels([0, 1, 2]))
         with pytest.raises(FormatError, match="count mismatch"):
-            load_idx(img_path, lbl)
+            read_idx(img_path, lbl)
 
     def test_zero_images_rejected(self, tmp_path):
         img = tmp_path / "empty.idx"
@@ -119,7 +124,7 @@ class TestLoadIdx:
         img.write_bytes(struct.pack(">IIII", 0x00000803, 0, 3, 4))
         lbl.write_bytes(idx_labels([]))
         with pytest.raises(FormatError, match="image count is 0 at offset 4"):
-            load_idx(img, lbl)
+            read_idx(img, lbl)
 
     @pytest.mark.parametrize("rows,cols,message", [
         (0, 28, "row count is 0 at offset 8"),
@@ -131,29 +136,26 @@ class TestLoadIdx:
         img.write_bytes(struct.pack(">IIII", 0x00000803, 2, rows, cols))
         lbl.write_bytes(idx_labels([0, 1]))
         with pytest.raises(FormatError, match=message):
-            load_idx(img, lbl)
+            read_idx(img, lbl)
         desc = DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl)
         with pytest.raises(FormatError, match=message):
             load_dataset(desc)
 
-    def test_pixels_decoded_in_place(self, tmp_path):
-        # one float32 copy of the pixels: a second whole-file temporary fails
-        count, side = 1000, 28
-        pixels = np.random.default_rng(0).integers(0, 256, (count, side, side), dtype=np.uint8)
-        img = tmp_path / "i.idx"
-        lbl = tmp_path / "l.idx"
-        img.write_bytes(idx_images(pixels))
-        lbl.write_bytes(idx_labels(np.zeros(count)))
-        (x, _), peak = peak_bytes(load_idx, img, lbl)
-        assert x.data.tobytes() == (pixels.reshape(count, 1, side, side)
-                                    .astype(np.float32) / 255.0).tobytes()
-        assert peak <= img.stat().st_size + x.data.nbytes + 64 * 1024
-
     def test_label_out_of_class_range(self, idx_pair):
         img_path, lbl_path, _, _ = idx_pair
-        with pytest.raises(ValueError, match="label 7 out of range"):
-            load_idx(img_path, lbl_path, num_classes=4)
-        load_idx(img_path, lbl_path, num_classes=8)  # 7 is legal here
+        with pytest.raises(ValueError, match="label 7 out of range for 4 classes at offset 8"):
+            read_idx(img_path, lbl_path, num_classes=4)
+        read_idx(img_path, lbl_path, num_classes=8)  # 7 is legal here
+
+    def test_first_out_of_range_label_names_its_offset(self, tmp_path):
+        img, lbl = tmp_path / "i.idx", tmp_path / "l.idx"
+        img.write_bytes(idx_images(np.zeros((5, 2, 2), dtype=np.uint8)))
+        lbl.write_bytes(idx_labels([1, 3, 5, 9, 0]))
+        with pytest.raises(FormatError, match="label 5 out of range for 4 classes at offset 10"):
+            read_idx(img, lbl, num_classes=4)
+        desc = DatasetDescriptor(kind="idx", images_path=img, labels_path=lbl)
+        with pytest.raises(FormatError, match="at offset 10"):
+            load_dataset(desc, expected_classes=4)
 
 
 class TestStoredPixels:
@@ -243,7 +245,7 @@ class TestLoadIdxFuzz:
         img.write_bytes(bytes(blobs[0]))
         lbl.write_bytes(bytes(blobs[1]))
         try:
-            load_idx(img, lbl)
+            read_idx(img, lbl)
         except FormatError as exc:
             assert "offset" in str(exc)
 
@@ -258,13 +260,13 @@ class TestSynthBlobs:
     def test_deterministic_for_seed(self):
         x1, y1 = synth_blobs(blob_desc())
         x2, y2 = synth_blobs(blob_desc())
-        np.testing.assert_array_equal(x1.data, x2.data)
+        np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
 
     def test_different_seed_differs(self):
         x1, _ = synth_blobs(blob_desc(seed=0))
         x2, _ = synth_blobs(blob_desc(seed=1))
-        assert not np.array_equal(x1.data, x2.data)
+        assert not np.array_equal(x1, x2)
 
     def test_round_robin_labels(self):
         _, y = synth_blobs(blob_desc(samples=31, classes=3))
@@ -275,12 +277,12 @@ class TestSynthBlobs:
     def test_zero_noise_collapses_onto_centers(self):
         x, y = synth_blobs(blob_desc(noise=0.0, samples=9, classes=3))
         for cls in range(3):
-            cluster = x.data[y == cls]
+            cluster = x[y == cls]
             assert np.ptp(cluster, axis=0).max() == 0.0
 
     def test_min_center_distance_is_one(self):
         x, y = synth_blobs(blob_desc(noise=0.0, samples=6, classes=3, dims=5))
-        centers = np.stack([x.data[y == c][0] for c in range(3)]).astype(np.float64)
+        centers = np.stack([x[y == c][0] for c in range(3)]).astype(np.float64)
         d01 = np.linalg.norm(centers[0] - centers[1])
         d02 = np.linalg.norm(centers[0] - centers[2])
         d12 = np.linalg.norm(centers[1] - centers[2])
@@ -288,9 +290,9 @@ class TestSynthBlobs:
 
     def test_output_types(self):
         x, y = synth_blobs(blob_desc())
-        assert x.data.dtype == np.float32
+        assert x.dtype == np.float32
         assert y.dtype == np.int64
-        assert x.data.shape == (31, 8)
+        assert x.shape == (31, 8)
 
     @pytest.mark.parametrize("samples,dims", [(200, 784), (3, BLOB_BLOCK_VALUES + 7)],
                              ids=["rows_not_multiple_of_block", "dims_wider_than_block"])
@@ -298,7 +300,7 @@ class TestSynthBlobs:
         desc = blob_desc(samples=samples, dims=dims, classes=3, noise=0.3, seed=5)
         x, y = synth_blobs(desc)
         want_x, want_y = synth_blobs_one_shot(mix_seed(5, DATA_STREAM), 3, dims, samples, 0.3)
-        assert x.data.tobytes() == want_x.tobytes()
+        assert x.tobytes() == want_x.tobytes()
         assert y.tobytes() == want_y.tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, 8, 24, 31 * 8, 32 * 8])
@@ -308,7 +310,7 @@ class TestSynthBlobs:
         monkeypatch.setattr(datasets, "BLOB_BLOCK_VALUES", block)
         x, y = synth_blobs(blob_desc(seed=9))
         want_x, want_y = synth_blobs_one_shot(mix_seed(9, DATA_STREAM), 3, 8, 31, 0.1)
-        assert x.data.tobytes() == want_x.tobytes()
+        assert x.tobytes() == want_x.tobytes()
         assert y.tobytes() == want_y.tobytes()
 
     def test_peak_memory_is_output_plus_one_block(self):
@@ -318,7 +320,7 @@ class TestSynthBlobs:
         (x, y), peak = peak_bytes(synth_blobs, desc)
         block_bytes = 8 * BLOB_BLOCK_VALUES
         # the noise block and its gathered centers, plus labels and centers
-        assert peak <= x.data.nbytes + 2 * block_bytes + y.nbytes + 256 * 1024
+        assert peak <= x.nbytes + 2 * block_bytes + y.nbytes + 256 * 1024
 
     def test_rejects_idx_descriptor(self, tmp_path):
         img = tmp_path / "i.idx"
@@ -361,7 +363,7 @@ class TestLoadDataset:
         assert len(data.train_x) == 24
         assert len(data.val_x) == 6
         x, y = synth_blobs(blob_desc(samples=30, split=0.8))
-        np.testing.assert_array_equal(data.train_x, x.data[:24])
+        np.testing.assert_array_equal(data.train_x, x[:24])
         np.testing.assert_array_equal(data.val_y, y[24:])
 
     def test_blob_metadata(self):
