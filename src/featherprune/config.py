@@ -159,6 +159,10 @@ def build_operator(values) -> ThresholdOperator:
 
 
 def build_descriptor(values) -> DatasetDescriptor:
+    # model.classes bounds the labels load_dataset accepts: refuse it here,
+    # before any dataset file is opened
+    if values["model.classes"] < 2:
+        raise ConfigError(f"model.classes must be >= 2, got {values['model.classes']}")
     if values["dataset.kind"] == "idx":
         return DatasetDescriptor(
             kind="idx",

@@ -17,6 +17,7 @@ gradient on without keeping it.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "add_bias",
     "reshape",
     "flatten",
-    "sum_all",
     "softmax_cross_entropy",
 ]
 
@@ -247,16 +247,6 @@ def flatten(x: Tensor) -> Tensor:
     return reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum over every element, producing a rank-0 tensor."""
-    shape = x.data.shape
-
-    def backward_fn(g: np.ndarray):
-        return [(x, np.full(shape, g, dtype=np.float32))]
-
-    return _emit(np.sum(x.data, dtype=np.float32), (x,), backward_fn, "sum_all")
-
-
 def _tap_slices(offset: int, size: int, out_size: int, stride: int, padding: int):
     """Output positions whose window tap ``offset`` lands inside the unpadded
     input, and the input positions it reads there: a pair of slices along one
@@ -269,6 +259,30 @@ def _tap_slices(offset: int, size: int, out_size: int, stride: int, padding: int
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
+@functools.lru_cache(maxsize=32)
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """``(source, padded)`` for one conv geometry, shared by every call.
+
+    ``source`` holds, for every entry of one image's C-ordered (h_out, w_out,
+    c, kh, kw) columns, the flat index into that image's (c, h, w) pixels it
+    reads; a read that falls in the zero padding is clipped into the image.
+    ``padded`` lists the entries whose read falls in the padding. Callers must
+    not write to either array. They are left writeable because ``np.take``
+    copies a read-only index on every call.
+    """
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    rows = np.arange(h_out)[:, None] * stride + np.arange(kh) - padding  # (h_out, kh)
+    cols = np.arange(w_out)[:, None] * stride + np.arange(kw) - padding  # (w_out, kw)
+    # broadcast against (h_out, w_out, c, kh, kw)
+    rows, cols = rows[:, None, None, :, None], cols[:, None, None, :]
+    channels = np.arange(c)[:, None, None]
+    source = (channels * h + np.clip(rows, 0, h - 1)) * w + np.clip(cols, 0, w - 1)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    padded = np.flatnonzero(~np.broadcast_to(inside, source.shape))
+    return source.ravel(), padded
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding.
 
@@ -276,9 +290,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     output spatial size is floor((H + 2*padding - kh) / stride) + 1. The output
     and the input gradient are C-contiguous NCHW arrays.
 
-    The receptive fields are copied into a C-ordered (n, h_out, w_out, c, kh,
-    kw) column buffer, one strided slice per kernel tap; reads that fall in the
-    padding stay zero. The products are ``cols @ k_mat.T`` (forward),
+    The receptive fields are gathered into a C-ordered (n, h_out, w_out, c, kh,
+    kw) column buffer by one ``np.take`` through an index cached per geometry
+    (``_im2col_index``), and the entries that read the padding are then set to
+    zero. The products are ``cols @ k_mat.T`` (forward),
     ``g_mat @ k_mat`` (input gradient) and ``g_mat.T @ cols`` (kernel
     gradient) on C-contiguous ``cols`` and ``g_mat``: the BLAS operands, and
     so the bits, of the padded im2col form this replaced. Each input-gradient
@@ -300,17 +315,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
-    row_taps = [_tap_slices(u, h, h_out, stride, padding) for u in range(kh)]
-    col_taps = [_tap_slices(v, w, w_out, stride, padding) for v in range(kw)]
-    taps = [(u, v, row_taps[u], col_taps[v]) for u in range(kh) for v in range(kw)
-            if row_taps[u] and col_taps[v]]
-
-    alloc = np.zeros if padding else np.empty
-    cols6 = alloc((n, h_out, w_out, c, kh, kw), dtype=np.float32)
-    windows = cols6.transpose(0, 3, 1, 2, 4, 5)  # (n, c, h_out, w_out, kh, kw)
-    for u, v, (oi, ii), (oj, ij) in taps:
-        windows[:, :, oi, oj, u, v] = x.data[:, :, ii, ij]
-    cols = cols6.reshape(n * h_out * w_out, c * kh * kw)
+    source, padded = _im2col_index(c, h, w, kh, kw, stride, padding)
+    cols = np.take(x.data.reshape(n, c * h * w), source, axis=1)
+    cols[:, padded] = 0
+    cols = cols.reshape(n * h_out * w_out, c * kh * kw)
     k_mat = kernel.data.reshape(f, c * kh * kw)
     out = np.ascontiguousarray((cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2))
     need_x, need_k = x.requires_grad, kernel.requires_grad
@@ -319,6 +327,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
         grads = []
         if need_x:
+            row_taps = [_tap_slices(u, h, h_out, stride, padding) for u in range(kh)]
+            col_taps = [_tap_slices(v, w, w_out, stride, padding) for v in range(kw)]
+            taps = [(u, v, row_taps[u], col_taps[v]) for u in range(kh) for v in range(kw)
+                    if row_taps[u] and col_taps[v]]
             # (kh, kw, h_out, w_out, c, n) view of the column gradient, summed
             # into an (h, w, c, n)-ordered buffer: each tap's update then runs
             # over c*n contiguous elements. Every element still sums its taps

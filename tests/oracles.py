@@ -2,8 +2,9 @@
 
 Nothing here imports the package under test, except ``two_phase_ste_step``,
 which drives the package's tape and thresholding to replay a training step
-the way the package once ran it, and ``stability_curve_bool``, which
-correlates through the package's ``mask_pearson``. The forward passes are written the long way
+the way the package once ran it, ``stability_curve_bool``, which
+correlates through the package's ``mask_pearson``, and ``sum_all``, which
+records a test loss on the package's tape. The forward passes are written the long way
 (explicit loops where that removes any shared structure with the library) so
 agreement is evidence, not tautology.
 """
@@ -89,6 +90,20 @@ def conv2d_naive(x: np.ndarray, k: np.ndarray, stride: int, padding: int) -> np.
                                j * stride : j * stride + kw]
                     out[img, filt, i, j] = (patch * k[filt]).sum()
     return out
+
+
+def sum_all(x):
+    """Sum over every element of a tensor, recorded on the tape like a library
+    op: a rank-0 float32 tensor whose backward hands every element the
+    incoming gradient."""
+    from featherprune.tensor import _emit
+
+    shape = x.data.shape
+
+    def backward_fn(g: np.ndarray):
+        return [(x, np.full(shape, g, dtype=np.float32))]
+
+    return _emit(np.sum(x.data, dtype=np.float32), (x,), backward_fn, "sum_all")
 
 
 def splitmix64_reference(state: int):

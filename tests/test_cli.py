@@ -196,6 +196,16 @@ class TestAnalyzeMasks:
         assert len(lines) == 1 + 2
         assert lines[-1] == "1,1.0"
 
+    def test_curve_is_the_metrics_pearson_column(self, tmp_path, capsys):
+        run_train(tmp_path / "run", ["--set", "train.epochs=4"])
+        capsys.readouterr()
+        assert main(["analyze-masks", "--masks", str(tmp_path / "run" / "masks.bin")]) == 0
+        curve = capsys.readouterr().out.splitlines()[1:]
+        metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        column = METRICS_HEADER.split(",").index("mask_pearson_vs_final")
+        assert len(curve) == 4
+        assert curve == [f"{row.split(',')[0]},{row.split(',')[column]}" for row in metrics[1:]]
+
     def test_corrupt_container_is_runtime_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a checkpoint")
@@ -492,6 +502,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ckpt), *BASE, "--set", "prune.p=0.5"]) == 2
         assert "config error: prune.p: power must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("classes", ["1", "0", "-3"])
+    def test_model_classes_below_two_is_two_before_reading_idx(self, tmp_path, capsys,
+                                                                classes):
+        code = main(["train", "--out", str(tmp_path / "run"), "--set", "model.arch=cnn",
+                     "--set", "dataset.kind=idx",
+                     "--set", f"dataset.images={tmp_path / 'missing-images.idx'}",
+                     "--set", f"dataset.labels={tmp_path / 'missing-labels.idx'}",
+                     "--set", f"model.classes={classes}"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"config error: model.classes must be >= 2, got {classes}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_model_classes_below_two_is_two_on_blobs(self, tmp_path, capsys):
+        code = run_train(tmp_path / "run", ["--set", "dataset.classes=1",
+                                            "--set", "model.classes=1"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: model.classes must be >= 2, got 1\n"
+        assert not (tmp_path / "run").exists()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:

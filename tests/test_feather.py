@@ -20,9 +20,9 @@ from featherprune.feather import (
 )
 from featherprune.models import build_cnn, build_mlp
 from featherprune.seeding import init_rng
-from featherprune.tensor import Tape, Tensor, softmax_cross_entropy, sum_all
+from featherprune.tensor import Tape, Tensor, softmax_cross_entropy
 from featherprune.thresholding import ThresholdOperator, select_threshold
-from oracles import two_phase_ste_step
+from oracles import sum_all, two_phase_ste_step
 
 
 def make_state(weights, op=None, theta=1.0, threshold=None):

@@ -11,6 +11,7 @@ from featherprune.tensor import (
     Tape,
     Tensor,
     _emit,
+    _im2col_index,
     add_bias,
     conv2d,
     flatten,
@@ -18,8 +19,9 @@ from featherprune.tensor import (
     relu,
     reshape,
     softmax_cross_entropy,
-    sum_all,
 )
+from memtrace import peak_bytes
+from oracles import sum_all
 
 
 class TestTensorBasics:
@@ -370,6 +372,8 @@ class TestConv2dMatchesIm2colReference:
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
             else:
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        cache = _im2col_index.cache_info()
+        assert cache.maxsize is not None and cache.currsize <= cache.maxsize
         return cols_is_view
 
     @given(n=st.integers(1, 128), layer=st.sampled_from(CNN_CONV_SHAPES),
@@ -406,6 +410,44 @@ class TestConv2dMatchesIm2colReference:
             return [loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
 
         assert run(conv2d) == run(reference_conv2d)
+
+
+class TestIm2colIndex:
+    """conv2d gathers its columns through one cached index per geometry, and
+    holds no padded or zero-filled copy of its input."""
+
+    def test_index_is_cached_per_geometry(self):
+        geometry = (8, 14, 14, 3, 3, 2, 1)
+        index = _im2col_index(*geometry)
+        assert _im2col_index(*geometry) is index
+        source, padded = index
+        assert source.size == 7 * 7 * 8 * 3 * 3 and padded.size > 0
+        assert _im2col_index(1, 5, 5, 3, 3, 1, 0)[1].size == 0
+
+    def test_gather_reads_the_cached_index_in_place(self):
+        """np.take copies a read-only or non-intp index on every call; the
+        cached one is handed over as it is."""
+        source, _ = _im2col_index(8, 14, 14, 3, 3, 2, 1)
+        x = np.zeros((4, 8 * 14 * 14), dtype=np.float32)
+        cols, peak = peak_bytes(np.take, x, source, axis=1)
+        assert peak - cols.nbytes < source.nbytes
+
+    @pytest.mark.parametrize("layer", CNN_CONV_SHAPES)
+    def test_forward_peak_at_cnn_shapes(self, layer):
+        """Columns, the (n*h_out*w_out, f) product and its NCHW copy, and the
+        index built on this call: a padded copy of the input would not fit
+        in the 64 KiB left over."""
+        c, size, f = layer
+        n, h_out = 128, size // 2
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.random((n, c, size, size)))
+        kernel = Tensor(rng.standard_normal((f, c, 3, 3)), requires_grad=True)
+        _im2col_index.cache_clear()
+        with Tape():
+            out, peak = peak_bytes(conv2d, x, kernel, 2, 1)
+        index = sum(a.nbytes for a in _im2col_index(c, size, size, 3, 3, 2, 1))
+        columns = n * h_out * h_out * c * 9 * 4
+        assert peak <= columns + 2 * out.data.nbytes + index + 64 * 1024
 
 
 class TestGradientsOwnTheirMemory:
