@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "MaskSnapshot",
-    "PearsonResult",
     "LayerFlops",
     "FlopsReport",
     "mask_pearson",
@@ -52,6 +51,11 @@ class MaskSnapshot:
     def layers(self) -> list[str]:
         return list(self._bits)
 
+    @property
+    def layout(self) -> list[tuple[str, tuple]]:
+        """Each layer's name and mask shape, in order."""
+        return [(name, shape) for name, (_, shape) in self._bits.items()]
+
     def unpacked(self, layer: str) -> np.ndarray:
         bits, shape = self._bits[layer]
         return np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
@@ -61,22 +65,11 @@ class MaskSnapshot:
         return {name: self.unpacked(name).view(bool) for name in self._bits}
 
 
-class PearsonResult(float):
-    """A correlation value carrying a flag for the zero-variance fallback."""
-
-    degenerate: bool
-
-    def __new__(cls, value: float, degenerate: bool = False):
-        obj = super().__new__(cls, value)
-        obj.degenerate = degenerate
-        return obj
-
-
-def mask_pearson(a: np.ndarray, b: np.ndarray) -> PearsonResult:
+def mask_pearson(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson r between two boolean masks encoded as {0,1}.
 
     A constant vector has no defined correlation; that case returns 1.0 when
-    the inputs are identical and 0.0 otherwise, with ``degenerate`` set.
+    the inputs are identical and 0.0 otherwise.
     """
     av, bv = np.ravel(a), np.ravel(b)
     if av.size != bv.size:
@@ -88,13 +81,13 @@ def mask_pearson(a: np.ndarray, b: np.ndarray) -> PearsonResult:
     pair = np.empty((2, av.size), dtype=bool)
     pair[0], pair[1] = av, bv
     av, bv = pair
-    if not (av.any() and bv.any()) or av.all() or bv.all():
-        return PearsonResult(1.0 if np.array_equal(av, bv) else 0.0, degenerate=True)
     if np.array_equal(av, bv):
         # corrcoef can land one ulp under 1.0; identical masks are exactly 1.
-        return PearsonResult(1.0)
-    r = float(np.corrcoef(pair)[0, 1])
-    return PearsonResult(max(-1.0, min(1.0, r)))
+        return 1.0
+    if not (av.any() and bv.any()) or av.all() or bv.all():
+        return 0.0
+    # corrcoef clips its result to [-1, 1]
+    return float(np.corrcoef(pair)[0, 1])
 
 
 def _concat_masks(snapshot: MaskSnapshot) -> np.ndarray:
@@ -105,19 +98,21 @@ def _concat_masks(snapshot: MaskSnapshot) -> np.ndarray:
 
 
 def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:
-    """Per-epoch Pearson r of each snapshot's global mask against the final one."""
+    """Per-epoch Pearson r of each snapshot's global mask against the final one.
+
+    Every snapshot must hold the final one's layers, in its order and shapes,
+    so that equal positions in the concatenated masks are the same weight.
+    """
     if not snapshots:
         raise ValueError("no mask snapshots to correlate")
-    final = _concat_masks(snapshots[-1])
+    last = snapshots[-1]
+    final = _concat_masks(last)
     curve = []
     for snap in snapshots:
-        current = _concat_masks(snap)
-        if current.size != final.size:
-            raise ValueError(
-                f"epoch {snap.epoch} mask vector has {current.size} entries, "
-                f"final has {final.size}"
-            )
-        curve.append((snap.epoch, float(mask_pearson(current, final))))
+        if snap.layout != last.layout:
+            raise ValueError(f"epoch {snap.epoch} masks have layers {snap.layout}, "
+                             f"final epoch {last.epoch} has {last.layout}")
+        curve.append((snap.epoch, mask_pearson(_concat_masks(snap), final)))
     return curve
 
 

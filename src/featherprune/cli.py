@@ -43,8 +43,8 @@ from .config import (
 )
 from .datasets import load_dataset, read_input_shape
 from .errors import ConfigError, FormatError, TrainingDivergedError
-from .feather import PruneLayerState, feather_forward
-from .thresholding import apply_threshold  # noqa: F401 - unused; perfbench's tracer patches this name
+from .tensor import Tensor
+from .thresholding import apply_threshold
 from .trainer import evaluate_top1, train
 
 __all__ = ["main", "run_spec"]
@@ -68,14 +68,14 @@ def run_spec(spec: RunSpec) -> dict:
         "label": spec.label,
         "val_top1": last.val_top1,
         "achieved_sparsity": last.achieved_sparsity,
-        "theta": result.theta,
+        "theta": last.theta,
     }
 
 
 def _resolved(args) -> dict:
     file_text = Path(args.config).read_text(encoding="utf-8") if args.config else None
     overrides = list(args.set or [])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides.append(f"run.seed={args.seed}")
     return resolve_config(file_text, overrides)
 
@@ -127,9 +127,8 @@ def cmd_eval(args) -> int:
     model = build_model_for(values, dataset.input_shape, values["run.seed"])
     restore_model(model, records)
     overrides = {
-        id(layer): feather_forward(PruneLayerState(
-            layer.name, layer.kind, layer.weight, op,
-            threshold=float(records[f"{layer.name}/threshold"][0])))
+        id(layer): Tensor(apply_threshold(layer.weight.data,
+                                          records[f"{layer.name}/threshold"][0], op)[0])
         for layer in model.layers if f"{layer.name}/threshold" in records
     }
     acc = evaluate_top1(model, dataset.val_x, dataset.val_y,
@@ -248,7 +247,6 @@ def _add_common(parser, need_out: bool) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-    parser.add_argument("--seed", type=int, help="shorthand for run.seed")
     parser.add_argument("--out", required=need_out,
                         help="output directory" if need_out else "output file (default stdout)")
 
@@ -260,11 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one training job")
     _add_common(p, need_out=True)
+    p.add_argument("--seed", type=int, help="shorthand for run.seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
     p.add_argument("--checkpoint", required=True)
     _add_common(p, need_out=False)
+    p.add_argument("--seed", type=int, help="shorthand for run.seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid of runs over config axes and seeds")
@@ -283,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="per-layer FLOPs report from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _add_common(p, need_out=False)
+    p.add_argument("--seed", type=int, help="shorthand for run.seed")
     p.set_defaults(func=cmd_flops)
 
     return parser

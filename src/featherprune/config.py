@@ -90,8 +90,6 @@ def _convert(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            if raw.lower() in ("inf", "infinity"):
-                return math.inf
             return float(raw)
         if kind == "tribool":
             if raw.lower() == "auto":
@@ -118,7 +116,7 @@ def _format(key: str, value) -> str:
     if kind == "int_list":
         return ",".join(str(v) for v in value)
     if kind == "float":
-        return "inf" if value == math.inf else repr(float(value))
+        return repr(float(value))
     return str(value)
 
 

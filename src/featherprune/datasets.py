@@ -11,6 +11,7 @@ an image set is held at its stored size rather than 4x it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,8 +71,8 @@ class DatasetDescriptor:
                 raise ConfigError(f"blobs need >= 2 dims, got {self.dims}")
             if self.samples < self.classes:
                 raise ConfigError("fewer samples than classes")
-            if self.noise < 0:
-                raise ConfigError(f"noise must be nonnegative, got {self.noise}")
+            if not 0.0 <= self.noise < math.inf:
+                raise ConfigError(f"noise must be finite and nonnegative, got {self.noise}")
 
 
 @dataclass
@@ -84,7 +85,6 @@ class SplitDataset:
     train_y: np.ndarray
     val_x: np.ndarray
     val_y: np.ndarray
-    num_classes: int
     input_shape: tuple
 
 
@@ -193,14 +193,12 @@ def load_dataset(desc: DatasetDescriptor,
                  expected_classes: Optional[int] = None) -> SplitDataset:
     if desc.kind == "idx":
         data, y = _read_idx(desc.images_path, desc.labels_path, expected_classes)
-        num_classes = expected_classes if expected_classes else int(y.max()) + 1
     else:
         if expected_classes is not None and expected_classes != desc.classes:
             raise ConfigError(
                 f"model expects {expected_classes} classes, blobs descriptor has {desc.classes}"
             )
         data, y = synth_blobs(desc)
-        num_classes = desc.classes
 
     n_train = int(desc.split * len(data))
     if n_train < 1 or n_train >= len(data):
@@ -212,7 +210,6 @@ def load_dataset(desc: DatasetDescriptor,
         train_y=y[:n_train],
         val_x=data[n_train:],
         val_y=y[n_train:],
-        num_classes=num_classes,
         input_shape=tuple(data.shape[1:]),
     )
 

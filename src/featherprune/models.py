@@ -63,12 +63,11 @@ class Model:
     Input is flattened automatically when a dense layer follows spatial data.
     """
 
-    def __init__(self, layers: list, input_shape: tuple[int, ...], num_classes: int):
+    def __init__(self, layers: list, input_shape: tuple[int, ...]):
         if not layers:
             raise ValueError("model needs at least one layer")
         self.layers = layers
         self.input_shape = tuple(input_shape)
-        self.num_classes = num_classes
 
     def forward(self, x: Tensor, weight_overrides: Optional[dict] = None) -> Tensor:
         overrides = weight_overrides or {}
@@ -115,7 +114,7 @@ def build_mlp(input_dim: int, hidden: list[int], num_classes: int,
         DenseLayer(f"fc{i}", sizes[i], sizes[i + 1], rng)
         for i in range(len(sizes) - 1)
     ]
-    return Model(layers, (input_dim,), num_classes)
+    return Model(layers, (input_dim,))
 
 
 def build_cnn(input_shape: tuple[int, int, int], num_classes: int,
@@ -125,6 +124,6 @@ def build_cnn(input_shape: tuple[int, int, int], num_classes: int,
     c1, c2 = channels
     conv1 = ConvLayer("conv1", input_shape[0], c1, 3, rng, stride=2, padding=1)
     conv2 = ConvLayer("conv2", c1, c2, 3, rng, stride=2, padding=1)
-    features = Model([conv1, conv2], input_shape, num_classes).layer_output_shapes()[-1]
+    features = Model([conv1, conv2], input_shape).layer_output_shapes()[-1]
     head = DenseLayer("fc0", math.prod(features), num_classes, rng)
-    return Model([conv1, conv2, head], input_shape, num_classes)
+    return Model([conv1, conv2, head], input_shape)

@@ -43,7 +43,7 @@ class ThresholdOperator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}, expected one of {_KINDS}")
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ValueError(f"power must be >= 1, got {self.p}")
 
     @staticmethod
@@ -76,16 +76,12 @@ def apply_threshold(
     if not np.isfinite(magnitude.max(initial=0)):
         raise NonFiniteError("apply_threshold received non-finite weights")
     threshold = float(threshold)
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
 
     mask = magnitude > threshold
 
-    if threshold == 0.0:
-        pruned = np.where(mask, w, w.dtype.type(0.0))
-        return pruned, mask
-
-    if op.kind == HARD:
+    if op.kind == HARD or threshold == 0.0:
         surviving = w
     elif op.kind == SOFT or (op.kind == POWER and op.p == 1.0):
         surviving = np.copysign(magnitude - w.dtype.type(threshold), w)

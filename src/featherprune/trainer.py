@@ -74,9 +74,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        for name in ("lr", "weight_decay", "label_smoothing"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 <= self.lr_warmup_epochs < self.epochs:
@@ -122,7 +125,6 @@ class TrainResult:
 
     metrics: RunMetrics
     snapshots: list[MaskSnapshot]
-    theta: float
     states: list[PruneLayerState]
 
 
@@ -262,7 +264,7 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
                       config.backbone)
     for _, state in pairs:
         _, state.mask = apply_threshold(state.weights.data, state.threshold, state.op)
-    return TrainResult(metrics, snapshots, theta, states)
+    return TrainResult(metrics, snapshots, states)
 
 
 def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
@@ -309,4 +311,4 @@ def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
             mask_pearson_vs_final=1.0,
         ))
 
-    return TrainResult(metrics, [], 1.0, [])
+    return TrainResult(metrics, [], [])

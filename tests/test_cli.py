@@ -179,6 +179,17 @@ class TestEval:
         assert main(args) == 0
         assert capsys.readouterr().out == checked
 
+    def test_nan_threshold_is_runtime_failure(self, tmp_path, capsys):
+        run_train(tmp_path / "run")
+        records = dict(load_checkpoint(tmp_path / "run" / "final.fthr"))
+        records["fc0/threshold"] = np.array([np.nan], dtype=np.float32)
+        save_checkpoint(tmp_path / "run" / "final.fthr", records)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "run failed: threshold must be >= 0, got nan" in captured.err
+
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.fthr"), *BASE])
         assert code == 1
@@ -217,6 +228,20 @@ class TestAnalyzeMasks:
         save_checkpoint(bad, {"epochX/fc0/mask": np.ones(3, dtype=np.uint8)})
         assert main(["analyze-masks", "--masks", str(bad)]) == 1
         assert "unexpected record 'epochX/fc0/mask'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch0", [("fc1", "fc0"), ("fc0", "fc9")])
+    def test_layers_unlike_the_final_epoch_name_the_epoch(self, tmp_path, capsys, epoch0):
+        # epoch 0 lists its layers in another order, or under another name
+        masks = {"fc0": np.array([1, 0, 1, 0, 0, 1], dtype=np.uint8),
+                 "fc1": np.array([0, 1, 1], dtype=np.uint8), "fc9": np.ones(3, np.uint8)}
+        records = {f"epoch0000/{name}/mask": masks[name] for name in epoch0}
+        records.update({f"epoch0001/{name}/mask": masks[name] for name in ("fc0", "fc1")})
+        bad = tmp_path / "masks.bin"
+        save_checkpoint(bad, records)
+        assert main(["analyze-masks", "--masks", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "run failed: epoch 0 masks have layers" in captured.err
 
     def test_repeated_epoch_names_both_records(self, tmp_path, capsys):
         bad = tmp_path / "masks.bin"
@@ -424,6 +449,13 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "prune-final_sparsity_0.5", "sweep.csv"]
 
+    def test_seed_flag_is_not_a_sweep_option(self, tmp_path):
+        # sweep has only --seeds; argparse reads --seed as its abbreviation
+        assert main(["sweep", "--out", str(tmp_path), *BASE,
+                     "--axis", "prune.final_sparsity=0.5", "--seed", "7"]) == 0
+        assert sorted(p.name for p in (tmp_path / "prune-final_sparsity_0.5").iterdir()) \
+            == ["seed7"]
+
     def test_axis_required(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), *BASE]) == 2
         assert "config error" in capsys.readouterr().err
@@ -521,6 +553,27 @@ class TestExitCodes:
                                             "--set", "model.classes=1"])
         assert code == 2
         assert capsys.readouterr().err == "config error: model.classes must be >= 2, got 1\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override,message", [
+        ("train.lr=nan", "lr must be finite and nonnegative, got nan"),
+        ("train.lr=inf", "lr must be finite and nonnegative, got inf"),
+        ("train.weight_decay=inf", "weight_decay must be finite and nonnegative, got inf"),
+        ("train.weight_decay=nan", "weight_decay must be finite and nonnegative, got nan"),
+        ("train.label_smoothing=1.0", "label_smoothing must be in [0, 1), got 1.0"),
+        ("train.label_smoothing=nan", "label_smoothing must be in [0, 1), got nan"),
+        ("dataset.noise=nan", "noise must be finite and nonnegative, got nan"),
+        ("dataset.noise=inf", "noise must be finite and nonnegative, got inf"),
+        ("prune.p=nan", "prune.p: power must be >= 1, got nan"),
+    ])
+    def test_nan_or_out_of_range_value_is_two_before_any_data(self, tmp_path, capsys,
+                                                              monkeypatch, override, message):
+        def no_data(*args, **kwargs):
+            raise AssertionError("dataset read before the config was checked")
+
+        monkeypatch.setattr("featherprune.cli.load_dataset", no_data)
+        assert run_train(tmp_path / "run", ["--set", override]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
 
     def test_usage_error_exits_two(self):

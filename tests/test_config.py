@@ -75,7 +75,9 @@ class TestResolveConfig:
             resolve_config("prune.exempt_first_conv=maybe\n")
 
     def test_float_accepts_inf(self):
-        assert resolve_config("prune.p=inf\n")["prune.p"] == math.inf
+        for raw in ("inf", "INF", "Infinity", "infinity"):
+            assert resolve_config(f"prune.p={raw}\n")["prune.p"] == math.inf
+        assert "prune.p=inf\n" in config_to_text(resolve_config("prune.p=Infinity\n"))
 
     def test_int_list(self):
         assert resolve_config("model.hidden=64,32\n")["model.hidden"] == [64, 32]

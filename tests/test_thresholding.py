@@ -42,6 +42,13 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError, match=">= 1"):
             ThresholdOperator.power(0.5)
 
+    def test_nan_power_rejected(self):
+        with pytest.raises(ValueError, match=">= 1, got nan"):
+            ThresholdOperator.power(np.nan)
+
+    def test_infinite_power_is_legal(self):
+        assert ThresholdOperator.power(np.inf).p == np.inf
+
 
 class TestApplyThresholdValues:
     """Point values of the operator family."""
@@ -144,6 +151,13 @@ class TestErrorContract:
     def test_finite_weights_with_negative_threshold(self, op):
         with pytest.raises(ValueError, match=">= 0"):
             apply_threshold(np.float32([np.finfo(np.float32).max, 0.0]), -0.1, op)
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: f"{op.kind}{op.p}")
+    @pytest.mark.parametrize("threshold", [np.nan, np.float32(np.nan)])
+    def test_nan_threshold_rejected(self, op, threshold):
+        # |w| > NaN is False everywhere, so it would prune every weight
+        with pytest.raises(ValueError, match=">= 0, got nan"):
+            apply_threshold(np.float32([0.5, -2.0]), threshold, op)
 
 
 class TestOperatorInvariants:

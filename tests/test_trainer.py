@@ -58,6 +58,14 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=field):
                 small_config(**{field: -0.1} if field != "lr" else {"lr": -0.1})
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", np.nan), ("lr", np.inf), ("weight_decay", np.nan), ("weight_decay", np.inf),
+        ("label_smoothing", np.nan), ("label_smoothing", 1.0),
+    ])
+    def test_nan_infinite_or_out_of_range_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
     def test_momentum_range(self):
         with pytest.raises(ValueError, match="momentum"):
             small_config(momentum=1.0)
@@ -286,7 +294,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(0)
         data = SplitDataset(rng.random((24, 1, 8, 8), dtype=np.float32), np.arange(24) % 3,
                             rng.random((8, 1, 8, 8), dtype=np.float32), np.arange(8) % 3,
-                            3, (1, 8, 8))
+                            (1, 8, 8))
         model = build_cnn((1, 8, 8), 3, init_rng(0), channels=(2, 3))
         model.layers[0].prunable = False
         cfg = small_config(epochs=2, final_sparsity=0.5, backbone=BackboneKind("uniform"))
