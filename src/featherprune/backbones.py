@@ -2,17 +2,16 @@
 
 The schedule ramps the requested sparsity cubically from 0 to the final target
 over the first ``ramp_fraction`` of training (no dense warm-up phase) and
-holds it constant afterwards. Two backbones turn a requested sparsity into
-per-layer thresholds:
+holds it constant afterwards. A backbone turns a requested sparsity into
+per-layer thresholds by one rule: each pool of layers gets the k-th smallest
+magnitude of its pooled weights. The backbones differ only in their pools:
 
-* global: one threshold computed over the pooled magnitudes of every prunable
-  layer, written into all of them;
-* uniform: each prunable layer gets its own threshold so that every layer
-  reaches the same sparsity; the first convolutional layer can be exempted
-  (kept dense), which is the default for this backbone.
+* global: one pool of every prunable layer, so all share one threshold;
+* uniform: one pool per layer, so every layer reaches the same sparsity.
 
-Only prunable layers get a state, so biases and layers built with
-``prunable=False`` never participate.
+The first convolutional layer can be exempted (kept dense, threshold 0),
+which is the default for the uniform backbone. Only prunable layers get a
+state, so biases and layers built with ``prunable=False`` never participate.
 """
 
 from __future__ import annotations
@@ -83,54 +82,40 @@ def cubic_sparsity(epoch: int, schedule: SparsitySchedule) -> float:
     return schedule.final_sparsity * (1.0 - (1.0 - progress) ** 3)
 
 
-def _first_conv(states: Sequence[PruneLayerState]) -> Optional[PruneLayerState]:
-    for state in states:
-        if state.kind == "conv":
-            return state
-    return None
+def assign_thresholds(
+    layers: Sequence[PruneLayerState], sparsity: float, backbone: BackboneKind
+) -> None:
+    """Write into each of the backbone's pools the threshold that prunes
+    ``sparsity`` of the pool's pooled magnitudes; an exempt first conv gets 0."""
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    if not layers:
+        raise ValueError("no prunable layers to assign thresholds to")
+    exempt = None
+    if backbone.exempt_first_conv:
+        exempt = next((s for s in layers if s.kind == "conv"), None)
+    pruned = [s for s in layers if s is not exempt]
+    for pool in [pruned] if backbone.kind == GLOBAL else [[s] for s in pruned]:
+        magnitudes = np.concatenate([np.abs(s.weights.data).ravel() for s in pool])
+        threshold = select_threshold(magnitudes, sparsity)
+        for state in pool:
+            state.threshold = threshold
+    if exempt is not None:
+        exempt.threshold = 0.0
 
 
 def assign_thresholds_global(
     layers: Sequence[PruneLayerState], sparsity: float, exempt_first_conv: bool = False
 ) -> None:
-    """Write one pooled-magnitude threshold into every given layer."""
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    if not layers:
-        raise ValueError("no prunable layers to assign thresholds to")
-    exempt = _first_conv(layers) if exempt_first_conv else None
-    pooled = [s for s in layers if s is not exempt]
-    magnitudes = np.concatenate([np.abs(s.weights.data).ravel() for s in pooled])
-    threshold = select_threshold(magnitudes, sparsity)
-    for state in pooled:
-        state.threshold = threshold
-    if exempt is not None:
-        exempt.threshold = 0.0
+    """One threshold over the pooled magnitudes of every given layer."""
+    assign_thresholds(layers, sparsity, BackboneKind(GLOBAL, exempt_first_conv))
 
 
 def assign_thresholds_uniform(
     layers: Sequence[PruneLayerState], sparsity: float, exempt_first_conv: bool = True
 ) -> None:
-    """Give every given layer its own threshold at the same sparsity."""
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    if not layers:
-        raise ValueError("no prunable layers to assign thresholds to")
-    exempt = _first_conv(layers) if exempt_first_conv else None
-    for state in layers:
-        if state is exempt:
-            state.threshold = 0.0
-        else:
-            state.threshold = select_threshold(np.abs(state.weights.data).ravel(), sparsity)
-
-
-def assign_thresholds(
-    layers: Sequence[PruneLayerState], sparsity: float, backbone: BackboneKind
-) -> None:
-    if backbone.kind == GLOBAL:
-        assign_thresholds_global(layers, sparsity, backbone.exempt_first_conv)
-    else:
-        assign_thresholds_uniform(layers, sparsity, backbone.exempt_first_conv)
+    """Every given layer its own threshold at the same sparsity."""
+    assign_thresholds(layers, sparsity, BackboneKind(UNIFORM, exempt_first_conv))
 
 
 def measured_sparsity(layers: Sequence[PruneLayerState]) -> float:

@@ -118,6 +118,15 @@ def _check_run_config(checkpoint, values: dict, keys) -> None:
             )
 
 
+def _threshold(records: dict, name: str):
+    """A ``*/threshold`` record's one value; ``apply_threshold`` rejects NaN and negatives."""
+    value = records[name]
+    if value.shape != (1,) or value[0] == np.inf:
+        shown = np.array2string(value, threshold=8)
+        raise FormatError(f"record {name!r} holds {shown}, expected one finite threshold")
+    return value[0]
+
+
 def cmd_eval(args) -> int:
     values = _resolved(args)
     _check_run_config(args.checkpoint, values, ("prune.operator", "prune.p"))
@@ -128,7 +137,7 @@ def cmd_eval(args) -> int:
     restore_model(model, records)
     overrides = {
         id(layer): Tensor(apply_threshold(layer.weight.data,
-                                          records[f"{layer.name}/threshold"][0], op)[0])
+                                          _threshold(records, f"{layer.name}/threshold"), op)[0])
         for layer in model.layers if f"{layer.name}/threshold" in records
     }
     acc = evaluate_top1(model, dataset.val_x, dataset.val_y,
@@ -323,7 +332,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, TrainingDivergedError, OSError, ValueError) as exc:
+    except (TrainingDivergedError, OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

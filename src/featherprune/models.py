@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, add_bias, conv2d, flatten, matmul, relu
+from .tensor import Tensor, add_bias, conv2d, conv_output_size, flatten, matmul, relu
 
 __all__ = ["DenseLayer", "ConvLayer", "Model", "build_mlp", "build_cnn"]
 
@@ -95,12 +95,9 @@ class Model:
         shapes = []
         for layer in self.layers:
             if layer.kind == "conv":
-                c, h, w = shape
-                kh = layer.weight.shape[2]
-                kw = layer.weight.shape[3]
-                h = (h + 2 * layer.padding - kh) // layer.stride + 1
-                w = (w + 2 * layer.padding - kw) // layer.stride + 1
-                shape = (layer.weight.shape[0], h, w)
+                f, _, kh, kw = layer.weight.shape
+                shape = (f, conv_output_size(shape[1], kh, layer.stride, layer.padding),
+                         conv_output_size(shape[2], kw, layer.stride, layer.padding))
             else:
                 shape = (layer.weight.shape[1],)
             shapes.append(shape)

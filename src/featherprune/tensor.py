@@ -29,6 +29,7 @@ __all__ = [
     "Tape",
     "matmul",
     "conv2d",
+    "conv_output_size",
     "relu",
     "add_bias",
     "reshape",
@@ -247,6 +248,11 @@ def flatten(x: Tensor) -> Tensor:
     return reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
 
 
+def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    """Output extent of a convolution along one spatial axis."""
+    return (size + 2 * padding - kernel) // stride + 1
+
+
 def _tap_slices(offset: int, size: int, out_size: int, stride: int, padding: int):
     """Output positions whose window tap ``offset`` lands inside the unpadded
     input, and the input positions it reads there: a pair of slices along one
@@ -270,8 +276,8 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     not write to either array. They are left writeable because ``np.take``
     copies a read-only index on every call.
     """
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
     rows = np.arange(h_out)[:, None] * stride + np.arange(kh) - padding  # (h_out, kh)
     cols = np.arange(w_out)[:, None] * stride + np.arange(kw) - padding  # (w_out, kw)
     # broadcast against (h_out, w_out, c, kh, kw)
@@ -286,18 +292,18 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding.
 
-    Input is NCHW, the kernel is (out_channels, in_channels, kh, kw), and the
-    output spatial size is floor((H + 2*padding - kh) / stride) + 1. The output
-    and the input gradient are C-contiguous NCHW arrays.
+    Input is NCHW, the kernel is (out_channels, in_channels, kh, kw), and each
+    output spatial extent is ``conv_output_size``. The output and the input
+    gradient are C-contiguous NCHW arrays.
 
     The receptive fields are gathered into a C-ordered (n, h_out, w_out, c, kh,
     kw) column buffer by one ``np.take`` through an index cached per geometry
     (``_im2col_index``), and the entries that read the padding are then set to
     zero. The products are ``cols @ k_mat.T`` (forward),
     ``g_mat @ k_mat`` (input gradient) and ``g_mat.T @ cols`` (kernel
-    gradient) on C-contiguous ``cols`` and ``g_mat``: the BLAS operands, and
-    so the bits, of the padded im2col form this replaced. Each input-gradient
-    element sums its taps in row-major (kh, kw) order, starting from zero.
+    gradient). Their bits depend on ``cols`` and ``g_mat`` being C-contiguous
+    when the GEMMs run, so both must stay so. Each input-gradient element sums
+    its taps in row-major (kh, kw) order, starting from zero.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -313,8 +319,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
     source, padded = _im2col_index(c, h, w, kh, kw, stride, padding)
     cols = np.take(x.data.reshape(n, c * h * w), source, axis=1)
     cols[:, padded] = 0

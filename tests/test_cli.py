@@ -14,8 +14,9 @@ import pytest
 
 import featherprune
 from featherprune.checkpoint import load_checkpoint, model_records, save_checkpoint
-from featherprune.cli import main
+from featherprune.cli import build_parser, main
 from featherprune.config import resolve_config
+from featherprune.errors import FormatError
 from featherprune.trainer import METRICS_HEADER
 
 BASE = [
@@ -189,6 +190,28 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "run failed: threshold must be >= 0, got nan" in captured.err
+
+    @pytest.mark.parametrize("values,shown", [
+        ([], "[]"),
+        ([np.inf], "[inf]"),
+        ([0.1, 5.0], "[0.1 5. ]"),
+    ])
+    def test_malformed_threshold_record_is_format_error(self, tmp_path, capsys,
+                                                        values, shown):
+        run_train(tmp_path / "run")
+        records = dict(load_checkpoint(tmp_path / "run" / "final.fthr"))
+        records["fc0/threshold"] = np.array(values, dtype=np.float32)
+        save_checkpoint(tmp_path / "run" / "final.fthr", records)
+        args = build_parser().parse_args(
+            ["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE])
+        with pytest.raises(FormatError, match="'fc0/threshold'"):
+            args.func(args)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"run failed: record 'fc0/threshold' holds {shown}, "
+                                "expected one finite threshold\n")
 
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.fthr"), *BASE])

@@ -1,9 +1,12 @@
 """Guards for tools that reach into the package from outside it."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +42,44 @@ for name in ("mlp_extreme", "cnn_uniform"):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def span_applies(span, layers):
+    """Whether a train run of a model with these layers reaches ``span``."""
+    if span == "feather.feather_backward":  # training never calls it
+        return False
+    if span.startswith("models."):
+        return span.split(".")[1] in layers
+    if span.startswith("tensor.conv2d."):
+        return any(layer.startswith("conv") for layer in layers)
+    return True
+
+
+@pytest.mark.parametrize("workload", ["mlp_extreme", "cnn_uniform"])
+def test_perfbench_tracer_records_every_span_a_train_run_reaches(tmp_path, workload):
+    # The tracer only sees calls that go through the names it patches. A
+    # refactor that calls around one (say, a local alias of select_threshold)
+    # would leave its per-layer metric at zero without any other test failing.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       str(ROOT / "perfbench")]))
+    code = """
+import json, sys
+from pathlib import Path
+import tracer, workloads
+from featherprune import cli
+name, tmp = sys.argv[1], Path(sys.argv[2])
+workload = workloads.get(name, toy=True)
+config = workloads.prepare(workload, 1, tmp / "inputs")
+spans = tracer.Tracer(tmp / "trace")
+spans.install(full=True)
+assert cli.main(workloads.argv(workload, config, 1, tmp / "out")) == 0
+layers = [layer for pool in workload.pools for layer in pool] + workload.dense
+print(json.dumps({"spans": tracer.SPANS, "layers": layers,
+                  "called": sorted({span[0] for span in spans.spans})}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, workload, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    applies = [span for span in report["spans"] if span_applies(span, report["layers"])]
+    assert sorted(set(applies) - set(report["called"])) == []
