@@ -127,6 +127,21 @@ def _threshold(records: dict, name: str):
     return value[0]
 
 
+def _check_mask(records: dict, name: str, mask: np.ndarray) -> None:
+    """Refuse a ``*/mask`` record that is not the mask its layer's threshold
+    gives the restored weights; a checkpoint without one is not checked."""
+    if name not in records:
+        return
+    stored = records[name]
+    if stored.shape != mask.shape:
+        raise FormatError(f"record {name!r} has shape {stored.shape}, "
+                          f"but its layer's weights have shape {mask.shape}")
+    wrong = np.count_nonzero(stored != mask)
+    if wrong:
+        raise FormatError(f"record {name!r} disagrees with its layer's threshold "
+                          f"in {wrong} of {mask.size} entries")
+
+
 def cmd_eval(args) -> int:
     values = _resolved(args)
     _check_run_config(args.checkpoint, values, ("prune.operator", "prune.p"))
@@ -135,11 +150,14 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(build_descriptor(values), expected_classes=values["model.classes"])
     model = build_model_for(values, dataset.input_shape, values["run.seed"])
     restore_model(model, records)
-    overrides = {
-        id(layer): Tensor(apply_threshold(layer.weight.data,
-                                          _threshold(records, f"{layer.name}/threshold"), op)[0])
-        for layer in model.layers if f"{layer.name}/threshold" in records
-    }
+    overrides = {}
+    for layer in model.layers:
+        if f"{layer.name}/threshold" not in records:
+            continue
+        pruned, mask = apply_threshold(layer.weight.data,
+                                       _threshold(records, f"{layer.name}/threshold"), op)
+        _check_mask(records, f"{layer.name}{MASK_SUFFIX}", mask)
+        overrides[id(layer)] = Tensor(pruned)
     acc = evaluate_top1(model, dataset.val_x, dataset.val_y,
                         values["train.batch_size"], overrides)
     _emit(f"metric,value\nval_top1,{acc!r}\n", args.out)

@@ -8,7 +8,8 @@ class ConfigError(ValueError):
 class FormatError(ValueError):
     """Raised for malformed binary inputs (IDX files, FTHR checkpoints).
 
-    Messages include the byte offset at which parsing failed.
+    Messages include the byte offset at which parsing failed, or name the
+    checkpoint record whose contents are not what the format requires.
     """
 
 

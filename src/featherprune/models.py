@@ -6,6 +6,8 @@ optional mapping from layer to a substitute weight tensor, which is how the
 sparse training loop injects thresholded weights without touching the dense
 parameters. In training each substitute is the output of ``feather_forward``'s
 recorded op, so the tape carries the gradient through it to the dense weights.
+Each layer, with its bias and the ReLU after it, runs as one ``matmul`` or
+``conv2d`` op, so a training step records one op per layer.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, add_bias, conv2d, conv_output_size, flatten, matmul, relu
+from .tensor import Tensor, conv2d, conv_output_size, flatten, matmul
 
 __all__ = ["DenseLayer", "ConvLayer", "Model", "build_mlp", "build_cnn"]
 
@@ -32,8 +34,8 @@ class DenseLayer:
         self.bias = Tensor(np.zeros(out_features, dtype=np.float32), requires_grad=True)
         self.prunable = prunable
 
-    def forward(self, x: Tensor, weight: Tensor) -> Tensor:
-        return add_bias(matmul(x, weight), self.bias)
+    def forward(self, x: Tensor, weight: Tensor, relu: bool = False) -> Tensor:
+        return matmul(x, weight, bias=self.bias, relu=relu)
 
 
 class ConvLayer:
@@ -53,8 +55,8 @@ class ConvLayer:
         self.padding = padding
         self.prunable = prunable
 
-    def forward(self, x: Tensor, weight: Tensor) -> Tensor:
-        return add_bias(conv2d(x, weight, self.stride, self.padding), self.bias)
+    def forward(self, x: Tensor, weight: Tensor, relu: bool = False) -> Tensor:
+        return conv2d(x, weight, self.stride, self.padding, bias=self.bias, relu=relu)
 
 
 class Model:
@@ -77,9 +79,7 @@ class Model:
             if layer.kind == "fc" and t.data.ndim == 4:
                 t = flatten(t)
             weight = overrides.get(id(layer), layer.weight)
-            t = layer.forward(t, weight)
-            if layer is not last:
-                t = relu(t)
+            t = layer.forward(t, weight, relu=layer is not last)
         return t
 
     def parameters(self) -> list[Tensor]:

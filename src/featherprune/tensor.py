@@ -6,7 +6,12 @@ and no dtype other than float32. Reductions use numpy's fixed (pairwise)
 summation order and BLAS matrix products, so forward results are bitwise
 repeatable for identical inputs within one environment. Ops hand back
 C-contiguous arrays for C-contiguous inputs, and ``conv2d`` always does, so the
-bias, relu and reshape steps after a convolution run on contiguous memory.
+reshape after a convolution runs on contiguous memory.
+
+A network layer is one op: ``matmul`` and ``conv2d`` take an optional bias and
+ReLU, and give bitwise the result of ``relu(add_bias(...))`` with one output
+array and one record, whose backward keeps only the operands and the ReLU
+mask. ``add_bias`` and ``relu`` remain public building blocks.
 
 Gradients are recorded on an explicit :class:`Tape`: each operation executed
 while a tape is active appends one record, and ``Tape.backward(loss)`` replays
@@ -169,35 +174,68 @@ def _check_finite(arr: np.ndarray, op_name: str) -> None:
         raise NonFiniteError(f"{op_name} produced non-finite values")
 
 
-def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn, op_name: str) -> Tensor:
+def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn, op_name: str,
+          relu: bool = False) -> Tensor:
+    """Wrap an op's output, recording it when a tape is active and an input
+    requires a gradient. With ``relu`` the output, which must be the op's own
+    array, is clamped at zero in place after the finite check, and the
+    recorded backward is called with the ``data > 0`` mask as its ``mask``
+    argument; the mask is taken only when the op is recorded."""
     data = np.asarray(data, dtype=np.float32)
     _check_finite(data, op_name)
     tape = Tape.current()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
+    if relu:
+        if needs_grad:
+            backward_fn = functools.partial(backward_fn, mask=data > 0)
+        np.maximum(data, np.float32(0.0), out=data)
     out = Tensor(data, requires_grad=needs_grad)
     if needs_grad:
         tape.record(out, backward_fn)
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-d tensors; inner dimensions must agree."""
+def _check_bias(b: Tensor, width: int, what: str) -> None:
+    if b.data.ndim != 1:
+        raise ValueError(f"bias must be 1-d, got shape {b.shape}")
+    if b.shape[0] != width:
+        raise ValueError(f"bias length {b.shape[0]} does not match {what} {width}")
+
+
+def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
+    """Matrix product of 2-d tensors; inner dimensions must agree.
+
+    ``bias`` (one value per output column) is added into the product and
+    ``relu`` clamps the sum at zero, in this one op: the output and every
+    gradient are bitwise those of ``relu(add_bias(matmul(a, b), bias))``.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    if bias is not None:
+        _check_bias(bias, b.shape[1], "features")
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    need_bias = bias is not None and bias.requires_grad
+    out = a_data @ b_data
+    if bias is not None:
+        out += bias.data
 
-    def backward_fn(g: np.ndarray):
+    def backward_fn(g: np.ndarray, mask: Optional[np.ndarray] = None):
+        if mask is not None:
+            g = g * mask
         grads = []
         if need_a:
             grads.append((a, g @ b_data.T))
         if need_b:
             grads.append((b, a_data.T @ g))
+        if need_bias:
+            grads.append((bias, g.sum(axis=0)))
         return grads
 
-    return _emit(a_data @ b_data, (a, b), backward_fn, "matmul")
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _emit(out, inputs, backward_fn, "matmul", relu)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -214,13 +252,11 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim != 1:
         raise ValueError(f"bias must be 1-d, got shape {b.shape}")
     if x.data.ndim == 2:
-        if b.shape[0] != x.shape[1]:
-            raise ValueError(f"bias length {b.shape[0]} does not match features {x.shape[1]}")
+        _check_bias(b, x.shape[1], "features")
         out = x.data + b.data
         reduce_axes: tuple[int, ...] = (0,)
     elif x.data.ndim == 4:
-        if b.shape[0] != x.shape[1]:
-            raise ValueError(f"bias length {b.shape[0]} does not match channels {x.shape[1]}")
+        _check_bias(b, x.shape[1], "channels")
         out = x.data + b.data.reshape(1, -1, 1, 1)
         reduce_axes = (0, 2, 3)
     else:
@@ -289,12 +325,16 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     return source.ravel(), padded
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
+           bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """2-d cross-correlation with zero padding.
 
     Input is NCHW, the kernel is (out_channels, in_channels, kh, kw), and each
     output spatial extent is ``conv_output_size``. The output and the input
-    gradient are C-contiguous NCHW arrays.
+    gradient are C-contiguous NCHW arrays. ``bias`` (one value per output
+    channel) is added while the NCHW output is written and ``relu`` clamps the
+    sum at zero, in this one op: the output and every gradient are bitwise
+    those of ``relu(add_bias(conv2d(x, kernel, stride, padding), bias))``.
 
     The receptive fields are gathered into a C-ordered (n, h_out, w_out, c, kh,
     kw) column buffer by one ``np.take`` through an index cached per geometry
@@ -303,7 +343,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     ``g_mat @ k_mat`` (input gradient) and ``g_mat.T @ cols`` (kernel
     gradient). Their bits depend on ``cols`` and ``g_mat`` being C-contiguous
     when the GEMMs run, so both must stay so. Each input-gradient element sums
-    its taps in row-major (kh, kw) order, starting from zero.
+    its taps in row-major (kh, kw) order, starting from zero. The backward
+    forms the kernel and bias gradients first, so that the input gradient's
+    column buffer is the only large temporary alive while it is summed.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -319,6 +361,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ValueError(
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
+    if bias is not None:
+        _check_bias(bias, f, "channels")
     h_out = conv_output_size(h, kh, stride, padding)
     w_out = conv_output_size(w, kw, stride, padding)
     source, padded = _im2col_index(c, h, w, kh, kw, stride, padding)
@@ -326,12 +370,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cols[:, padded] = 0
     cols = cols.reshape(n * h_out * w_out, c * kh * kw)
     k_mat = kernel.data.reshape(f, c * kh * kw)
-    out = np.ascontiguousarray((cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2))
+    product = (cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
+    if bias is None:
+        out = np.ascontiguousarray(product)
+    else:
+        out = np.add(product, bias.data.reshape(1, -1, 1, 1),
+                     out=np.empty((n, f, h_out, w_out), dtype=np.float32))
+    del product  # the GEMM result goes before the finite check and the ReLU mask
     need_x, need_k = x.requires_grad, kernel.requires_grad
+    need_bias = bias is not None and bias.requires_grad
 
-    def backward_fn(g: np.ndarray):
+    def backward_fn(g: np.ndarray, mask: Optional[np.ndarray] = None):
+        if mask is not None:
+            g = g * mask
+        db = g.sum(axis=(0, 2, 3)) if need_bias else None
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
-        grads = []
+        del g
+        dk = (g_mat.T @ cols).reshape(f, c, kh, kw) if need_k else None
+        dx = None
         if need_x:
             row_taps = [_tap_slices(u, h, h_out, stride, padding) for u in range(kh)]
             col_taps = [_tap_slices(v, w, w_out, stride, padding) for v in range(kw)]
@@ -342,15 +398,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             # over c*n contiguous elements. Every element still sums its taps
             # in (u, v) order starting from zero.
             dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(4, 5, 1, 2, 3, 0)
+            del g_mat
             dx_hwcn = np.zeros((h, w, c, n), dtype=np.float32)
             for u, v, (oi, ii), (oj, ij) in taps:
                 dx_hwcn[ii, ij] += dcols[u, v, oi, oj]
-            grads.append((x, np.ascontiguousarray(dx_hwcn.transpose(3, 2, 0, 1))))
-        if need_k:
-            grads.append((kernel, (g_mat.T @ cols).reshape(f, c, kh, kw)))
-        return grads
+            del dcols
+            dx = np.ascontiguousarray(dx_hwcn.transpose(3, 2, 0, 1))
+        return [(t, grad) for t, grad in ((x, dx), (kernel, dk), (bias, db)) if grad is not None]
 
-    return _emit(out, (x, kernel), backward_fn, "conv2d")
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    return _emit(out, inputs, backward_fn, "conv2d", relu)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:

@@ -213,6 +213,40 @@ class TestEval:
         assert captured.err == (f"run failed: record 'fc0/threshold' holds {shown}, "
                                 "expected one finite threshold\n")
 
+    @pytest.mark.parametrize("edit,message", [
+        ("flip", "disagrees with its layer's threshold in 1 of 128 entries"),
+        ("transpose", "has shape (8, 16), but its layer's weights have shape (16, 8)"),
+    ])
+    def test_mask_record_unlike_its_threshold_is_format_error(self, tmp_path, capsys,
+                                                              edit, message):
+        run_train(tmp_path / "run")
+        path = tmp_path / "run" / "final.fthr"
+        records = dict(load_checkpoint(path))
+        mask = records["fc0/mask"].copy()
+        if edit == "flip":
+            mask.reshape(-1)[3] ^= 1
+        else:
+            mask = np.ascontiguousarray(mask.T)
+        records["fc0/mask"] = mask
+        save_checkpoint(path, records)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), *BASE]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run failed: record 'fc0/mask' {message}\n"
+
+    def test_checkpoint_without_mask_records_scores_the_same(self, tmp_path, capsys):
+        run_train(tmp_path / "run")
+        path = tmp_path / "run" / "final.fthr"
+        args = ["eval", "--checkpoint", str(path), *BASE]
+        capsys.readouterr()
+        assert main(args) == 0
+        with_masks = capsys.readouterr().out
+        save_checkpoint(path, {name: record for name, record in load_checkpoint(path).items()
+                               if not name.endswith("/mask")})
+        assert main(args) == 0
+        assert capsys.readouterr().out == with_masks
+
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.fthr"), *BASE])
         assert code == 1

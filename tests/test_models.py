@@ -1,11 +1,13 @@
-"""Model shape accounting against the shapes a forward pass produces."""
+"""Model shape accounting against the shapes a forward pass produces, and
+what one training step records and holds."""
 
 import numpy as np
 import pytest
 
-from featherprune.models import ConvLayer, Model, build_cnn
+from featherprune.models import ConvLayer, Model, build_cnn, build_mlp
 from featherprune.seeding import init_rng
-from featherprune.tensor import Tensor
+from featherprune.tensor import Tape, Tensor, softmax_cross_entropy
+from memtrace import peak_bytes
 
 
 def forward_shapes(model):
@@ -13,8 +15,8 @@ def forward_shapes(model):
     pass over a batch of two."""
     shapes = []
     for layer in model.layers:
-        def record(x, weight, forward=layer.forward):
-            out = forward(x, weight)
+        def record(x, weight, relu, forward=layer.forward):
+            out = forward(x, weight, relu=relu)
             shapes.append(out.shape[1:])
             return out
         layer.forward = record
@@ -38,3 +40,37 @@ def test_conv_layer_shape_matches_forward(stride, padding, side):
     layer = ConvLayer("conv1", 2, 3, 3, init_rng(0), stride=stride, padding=padding)
     model = Model([layer], (2, side, side))
     assert forward_shapes(model) == model.layer_output_shapes()
+
+
+def plain_step(model, x, labels):
+    """One training step without feather overrides; returns its record count."""
+    with Tape() as tape:
+        loss = softmax_cross_entropy(model.forward(x), labels)
+        tape.backward(loss)
+    return len(tape._records)
+
+
+@pytest.mark.parametrize("build,input_shape,records", [
+    (lambda: build_cnn((1, 28, 28), 10, init_rng(0)), (1, 28, 28), 5),
+    (lambda: build_mlp(784, [300, 100], 10, init_rng(0)), (784,), 4),
+], ids=["cnn", "mlp"])
+def test_step_records_one_op_per_layer(build, input_shape, records):
+    """Each layer, bias and ReLU included, is one record; the CNN adds its
+    flatten, and both add the loss."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.random((8, *input_shape)))
+    assert plain_step(build(), x, rng.integers(0, 10, 8)) == records
+
+
+def test_cnn_step_peak_at_batch_128():
+    """A step holds each layer's columns, one output and one ReLU mask, not
+    separate bias and ReLU copies of every activation (10.4 MiB when it did)."""
+    model = build_cnn((1, 28, 28), 10, init_rng(0))
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.random((128, 1, 28, 28)))
+    labels = rng.integers(0, 10, 128)
+    plain_step(model, x, labels)  # builds the cached im2col indices
+    for param in model.parameters():
+        param.grad = None
+    _, peak = peak_bytes(plain_step, model, x, labels)
+    assert peak <= 7.5 * 2**20

@@ -23,6 +23,8 @@ from featherprune.tensor import (
 from memtrace import peak_bytes
 from oracles import sum_all
 
+relu_op = relu  # ``relu`` is also the name of the fused ops' keyword argument
+
 
 class TestTensorBasics:
     def test_casts_to_float32(self):
@@ -334,15 +336,20 @@ def conv_shapes(draw):
             draw(st.integers(1, 4)), kh, kw, stride, padding)
 
 
-def reference_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """``oracles.conv2d_im2col_reference`` recorded on the tape like conv2d."""
+def reference_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
+                     bias=None, relu=False) -> Tensor:
+    """``oracles.conv2d_im2col_reference`` recorded on the tape like conv2d,
+    followed by the separate ``add_bias`` and ``relu`` ops when asked for."""
     out, ref_backward, _ = oracles.conv2d_im2col_reference(x.data, kernel.data, stride, padding)
 
     def backward_fn(g):
         dx, dk = ref_backward(g)
         return [(t, grad) for t, grad in ((x, dx), (kernel, dk)) if t.requires_grad]
 
-    return _emit(out, (x, kernel), backward_fn, "conv2d")
+    out = _emit(out, (x, kernel), backward_fn, "conv2d")
+    if bias is not None:
+        out = add_bias(out, bias)
+    return relu_op(out) if relu else out
 
 
 class TestConv2dMatchesIm2colReference:
@@ -448,6 +455,84 @@ class TestIm2colIndex:
         index = sum(a.nbytes for a in _im2col_index(c, size, size, 3, 3, 2, 1))
         columns = n * h_out * h_out * c * 9 * 4
         assert peak <= columns + 2 * out.data.nbytes + index + 64 * 1024
+
+
+def pull(out: Tensor, g: np.ndarray) -> Tensor:
+    """A scalar whose recorded backward hands ``g`` to ``out`` as it is."""
+    return _emit(np.float32(0.0), (out,), lambda _: [(out, g)], "pull")
+
+
+# (batch, in_features, out_features) of the 784-300-100-10 MLP's layers
+MLP_LAYER_SHAPES = [(128, 784, 300), (128, 300, 100), (128, 100, 10)]
+
+
+class TestFusedLayerOp:
+    """``matmul`` and ``conv2d`` with ``bias`` and ``relu`` are the separate
+    ``add_bias`` and ``relu`` ops composed after them, byte for byte in the
+    output and in every gradient, recorded as one op."""
+
+    def compare(self, op, seed, x_shape, w_shape, bias, relu_on, *args):
+        rng = np.random.default_rng(seed)
+        x_data = rng.standard_normal(x_shape).astype(np.float32)
+        w_data = rng.standard_normal(w_shape).astype(np.float32)
+        b_data = rng.standard_normal(w_shape[0] if op is conv2d else w_shape[1])
+        g, results = None, []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+            with Tape() as tape:
+                if fused:
+                    out = op(x, w, *args, bias=b if bias else None, relu=relu_on)
+                else:
+                    out = op(x, w, *args)
+                    out = add_bias(out, b) if bias else out
+                    out = relu(out) if relu_on else out
+                records = len(tape._records)
+                if g is None:
+                    g = rng.standard_normal(out.shape).astype(np.float32)
+                tape.backward(pull(out, g))
+            grads = [t.grad.tobytes() for t in (x, w, b) if t.grad is not None]
+            results.append((records, [out.data.tobytes()] + grads))
+        (fused_records, fused), (composed_records, composed) = results
+        assert fused_records == 1 and composed_records == 1 + bias + relu_on
+        assert len(fused) == 3 + bias
+        assert fused == composed
+
+    @given(shape=conv_shapes(), bias=st.booleans(), relu_on=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_conv2d_general_shapes(self, shape, bias, relu_on, seed):
+        n, c, h, w, f, kh, kw, stride, padding = shape
+        self.compare(conv2d, seed, (n, c, h, w), (f, c, kh, kw), bias, relu_on, stride, padding)
+
+    @pytest.mark.parametrize("relu_on", [True, False])
+    @pytest.mark.parametrize("layer", CNN_CONV_SHAPES)
+    def test_conv2d_cnn_shapes(self, layer, relu_on):
+        c, size, f = layer
+        self.compare(conv2d, 0, (128, c, size, size), (f, c, 3, 3), True, relu_on, 2, 1)
+
+    @given(n=st.integers(1, 9), k=st.integers(1, 9), m=st.integers(1, 9),
+           bias=st.booleans(), relu_on=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matmul_general_shapes(self, n, k, m, bias, relu_on, seed):
+        self.compare(matmul, seed, (n, k), (k, m), bias, relu_on)
+
+    @pytest.mark.parametrize("relu_on", [True, False])
+    @pytest.mark.parametrize("layer", MLP_LAYER_SHAPES)
+    def test_matmul_mlp_shapes(self, layer, relu_on):
+        n, k, m = layer
+        self.compare(matmul, 0, (n, k), (k, m), True, relu_on)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_non_finite_bias_raises_before_the_relu(self, value, recorded):
+        """A -inf pre-activation would be a finite 0 after the ReLU."""
+        bias = Tensor(np.array([0.0, value]), requires_grad=recorded)
+        with Tape():
+            with pytest.raises(NonFiniteError, match="matmul"):
+                matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), bias=bias, relu=True)
+            with pytest.raises(NonFiniteError, match="conv2d"):
+                conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((2, 1, 3, 3))),
+                       bias=bias, relu=True)
 
 
 class TestGradientsOwnTheirMemory:
