@@ -29,7 +29,6 @@ __all__ = [
     "BackboneKind",
     "cubic_sparsity",
     "assign_thresholds_global",
-    "assign_thresholds_uniform",
     "assign_thresholds",
     "measured_sparsity",
 ]
@@ -109,13 +108,6 @@ def assign_thresholds_global(
 ) -> None:
     """One threshold over the pooled magnitudes of every given layer."""
     assign_thresholds(layers, sparsity, BackboneKind(GLOBAL, exempt_first_conv))
-
-
-def assign_thresholds_uniform(
-    layers: Sequence[PruneLayerState], sparsity: float, exempt_first_conv: bool = True
-) -> None:
-    """Every given layer its own threshold at the same sparsity."""
-    assign_thresholds(layers, sparsity, BackboneKind(UNIFORM, exempt_first_conv))
 
 
 def measured_sparsity(layers: Sequence[PruneLayerState]) -> float:

@@ -165,7 +165,15 @@ def model_records(model, states=None) -> dict[str, np.ndarray]:
 
 
 def restore_model(model, records: dict[str, np.ndarray]) -> None:
-    """Copy weight and bias records back into a model of matching shape."""
+    """Copy weight and bias records back into a model of matching shape. A
+    record belongs to the layer named before its last ``/``; one of a layer the
+    model lacks is a ``FormatError`` that names it, as is a missing or
+    misshapen weight or bias record."""
+    layers = [layer.name for layer in model.layers]
+    for name in records:
+        if name.rpartition("/")[0] not in layers:
+            raise FormatError(f"record {name!r} belongs to no layer of the model "
+                              f"({', '.join(layers)})")
     for layer in model.layers:
         for part in ("weight", "bias"):
             key = f"{layer.name}/{part}"

@@ -6,7 +6,10 @@ validation split), ``sweep`` (cross-product of axis values by seeds, child
 failures recorded per cell), ``analyze-masks`` (stability curve CSV from a
 masks.bin), and ``flops`` (per-layer dense/kept FLOPs from a checkpoint).
 
-Exit codes: 0 success, 1 run failure, 2 configuration error.
+``eval`` and ``flops`` read a checkpoint through one reader, ``_read_network``.
+
+Exit codes: 0 success, 1 run failure, 2 configuration error; any other
+exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .config import (
     resolve_config,
 )
 from .datasets import load_dataset, read_input_shape
-from .errors import ConfigError, FormatError, TrainingDivergedError
+from .errors import ConfigError, FormatError, NonFiniteError, TrainingDivergedError
 from .tensor import Tensor
 from .thresholding import apply_threshold
 from .trainer import evaluate_top1, train
@@ -72,8 +75,17 @@ def run_spec(spec: RunSpec) -> dict:
     }
 
 
+def _read_config(path) -> str:
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: byte 0x{raw[exc.start]:02x} "
+                          f"at offset {exc.start}") from None
+
+
 def _resolved(args) -> dict:
-    file_text = Path(args.config).read_text(encoding="utf-8") if args.config else None
+    file_text = _read_config(args.config) if args.config else None
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"run.seed={args.seed}")
@@ -104,13 +116,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_run_config(checkpoint, values: dict, keys) -> None:
-    """Refuse a checkpoint whose run's ``config.txt`` has other ``keys`` values."""
+def _check_run_config(checkpoint, values: dict) -> None:
+    """Refuse a checkpoint whose run's ``config.txt`` has another model or operator."""
     run_config = Path(checkpoint).with_name("config.txt")
     if not run_config.exists():
         return
-    trained = resolve_config(run_config.read_text(encoding="utf-8"))
-    for key in keys:
+    trained = resolve_config(_read_config(run_config))
+    for key in ("model.arch", "model.hidden", "model.channels", "model.classes",
+                "prune.operator", "prune.p"):
         if trained[key] != values[key]:
             raise ConfigError(
                 f"{key} is {values[key]!r} but {run_config} says the checkpoint "
@@ -118,46 +131,49 @@ def _check_run_config(checkpoint, values: dict, keys) -> None:
             )
 
 
-def _threshold(records: dict, name: str):
-    """A ``*/threshold`` record's one value; ``apply_threshold`` rejects NaN and negatives."""
-    value = records[name]
-    if value.shape != (1,) or value[0] == np.inf:
-        shown = np.array2string(value, threshold=8)
-        raise FormatError(f"record {name!r} holds {shown}, expected one finite threshold")
-    return value[0]
+def _layer_network(records: dict, layer, op) -> tuple:
+    """A layer's ``(weights, mask)`` under its ``*/threshold`` record, dense
+    without one; a ``*/mask`` record, if any, must be that mask."""
+    name = f"{layer.name}/threshold"
+    if name in records:
+        value = records[name]
+        if value.shape != (1,) or not 0 <= value[0] < np.inf:
+            shown = np.array2string(value, threshold=8)
+            raise FormatError(f"record {name!r} holds {shown}, expected one finite threshold >= 0")
+        weights, mask = apply_threshold(layer.weight.data, value[0], op)
+    else:
+        weights, mask = layer.weight.data, np.ones(layer.weight.shape, dtype=bool)
+    name = f"{layer.name}{MASK_SUFFIX}"
+    if name in records:
+        stored = records[name]
+        if stored.shape != mask.shape:
+            raise FormatError(f"record {name!r} has shape {stored.shape}, "
+                              f"but its layer's weights have shape {mask.shape}")
+        wrong = np.count_nonzero(stored != mask)
+        if wrong:
+            raise FormatError(f"record {name!r} disagrees with its layer's threshold "
+                              f"in {wrong} of {mask.size} entries")
+    return weights, mask
 
 
-def _check_mask(records: dict, name: str, mask: np.ndarray) -> None:
-    """Refuse a ``*/mask`` record that is not the mask its layer's threshold
-    gives the restored weights; a checkpoint without one is not checked."""
-    if name not in records:
-        return
-    stored = records[name]
-    if stored.shape != mask.shape:
-        raise FormatError(f"record {name!r} has shape {stored.shape}, "
-                          f"but its layer's weights have shape {mask.shape}")
-    wrong = np.count_nonzero(stored != mask)
-    if wrong:
-        raise FormatError(f"record {name!r} disagrees with its layer's threshold "
-                          f"in {wrong} of {mask.size} entries")
+def _read_network(args):
+    """The config values, the model with ``args.checkpoint``'s weights restored,
+    and each layer's ``(weights, mask)`` (see ``_layer_network``)."""
+    values = _resolved(args)
+    _check_run_config(args.checkpoint, values)
+    op = build_operator(values)
+    records = load_checkpoint(args.checkpoint)
+    model = build_model_for(values, read_input_shape(build_descriptor(values)),
+                            values["run.seed"])
+    restore_model(model, records)
+    return values, model, {layer.name: _layer_network(records, layer, op)
+                           for layer in model.layers}
 
 
 def cmd_eval(args) -> int:
-    values = _resolved(args)
-    _check_run_config(args.checkpoint, values, ("prune.operator", "prune.p"))
-    op = build_operator(values)
-    records = load_checkpoint(args.checkpoint)
+    values, model, network = _read_network(args)
     dataset = load_dataset(build_descriptor(values), expected_classes=values["model.classes"])
-    model = build_model_for(values, dataset.input_shape, values["run.seed"])
-    restore_model(model, records)
-    overrides = {}
-    for layer in model.layers:
-        if f"{layer.name}/threshold" not in records:
-            continue
-        pruned, mask = apply_threshold(layer.weight.data,
-                                       _threshold(records, f"{layer.name}/threshold"), op)
-        _check_mask(records, f"{layer.name}{MASK_SUFFIX}", mask)
-        overrides[id(layer)] = Tensor(pruned)
+    overrides = {id(layer): Tensor(network[layer.name][0]) for layer in model.layers}
     acc = evaluate_top1(model, dataset.val_x, dataset.val_y,
                         values["train.batch_size"], overrides)
     _emit(f"metric,value\nval_top1,{acc!r}\n", args.out)
@@ -181,7 +197,7 @@ def _run_cell(payload) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    file_text = Path(args.config).read_text(encoding="utf-8") if args.config else None
+    file_text = _read_config(args.config) if args.config else None
     base_overrides = list(args.set or [])
     axes: list[tuple[str, list[str]]] = []
     for item in args.axis or []:
@@ -247,26 +263,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze_masks(args) -> int:
-    _emit(curve_to_csv(stability_curve(load_snapshots(args.masks))), args.out)
+    snapshots = load_snapshots(args.masks)
+    try:
+        curve = stability_curve(snapshots)
+    except ValueError as exc:  # no epochs, epochs unlike the last, fewer than 2 weights
+        raise FormatError(str(exc)) from None
+    _emit(curve_to_csv(curve), args.out)
     return 0
 
 
 def cmd_flops(args) -> int:
-    values = _resolved(args)
-    _check_run_config(args.checkpoint, values,
-                      ("model.arch", "model.hidden", "model.channels", "model.classes"))
-    records = load_checkpoint(args.checkpoint)
-    shape = read_input_shape(build_descriptor(values))
-    model = build_model_for(values, shape, values["run.seed"])
-    masks = {}
-    for layer in model.layers:
-        key = f"{layer.name}{MASK_SUFFIX}"
-        if key in records:
-            masks[layer.name] = records[key].astype(bool)
-        else:
-            masks[layer.name] = np.ones(layer.weight.shape, dtype=bool)
-    report = flops_count(model, masks)
-    _emit(report.to_csv(), args.out)
+    _, model, network = _read_network(args)
+    masks = {name: mask for name, (_, mask) in network.items()}
+    _emit(flops_count(model, masks).to_csv(), args.out)
     return 0
 
 
@@ -350,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, OSError, ValueError) as exc:
+    except (TrainingDivergedError, OSError, FormatError, NonFiniteError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

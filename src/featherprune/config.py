@@ -146,12 +146,8 @@ def config_to_text(values: dict[str, object]) -> str:
 
 def build_operator(values) -> ThresholdOperator:
     kind = values["prune.operator"]
-    if kind == "soft":
-        return ThresholdOperator.soft()
-    if kind == "hard":
-        return ThresholdOperator.hard()
     try:
-        return ThresholdOperator.power(values["prune.p"])
+        return ThresholdOperator(kind, values["prune.p"] if kind == "powerp" else 1.0)
     except ValueError as exc:
         raise ConfigError(f"prune.p: {exc}") from None
 

@@ -249,8 +249,6 @@ def relu(x: Tensor) -> Tensor:
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a per-feature (2-d input) or per-channel (4-d input) bias vector."""
-    if b.data.ndim != 1:
-        raise ValueError(f"bias must be 1-d, got shape {b.shape}")
     if x.data.ndim == 2:
         _check_bias(b, x.shape[1], "features")
         out = x.data + b.data

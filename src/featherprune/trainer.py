@@ -180,11 +180,6 @@ def _layer_norms(model: Model) -> dict[str, float]:
     return {layer.name: float(np.linalg.norm(layer.weight.data)) for layer in model.layers}
 
 
-def _fill_pearson(records: list[EpochRecord], snapshots: list[MaskSnapshot]) -> None:
-    for record, (_, r) in zip(records, stability_curve(snapshots)):
-        record.mask_pearson_vs_final = r
-
-
 def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
     """Sparse training under the configured backbone, operator, and policy.
 
@@ -255,7 +250,8 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             mask_pearson_vs_final=1.0,
         ))
 
-    _fill_pearson(metrics.records, snapshots)
+    for record, (_, r) in zip(metrics.records, stability_curve(snapshots)):
+        record.mask_pearson_vs_final = r
     # Re-select thresholds on the settled weights so the returned state (and
     # any checkpoint built from it) is self-consistent: its masks are exactly
     # the thresholds applied to the final weights, at the same quantile the

@@ -15,7 +15,6 @@ from featherprune.backbones import (
     SparsitySchedule,
     assign_thresholds,
     assign_thresholds_global,
-    assign_thresholds_uniform,
     cubic_sparsity,
     measured_sparsity,
 )
@@ -171,9 +170,9 @@ class TestGlobalBackbone:
         assert fc.threshold == pytest.approx(0.2)
 
     def test_no_prunable_layers_raises(self):
-        for assign in (assign_thresholds_global, assign_thresholds_uniform):
+        for kind in ("global", "uniform"):
             with pytest.raises(ValueError, match="no prunable"):
-                assign([], 0.5)
+                assign_thresholds([], 0.5, BackboneKind(kind))
 
     def test_sparsity_range_checked(self):
         state = make_state([1.0, 2.0])
@@ -185,7 +184,7 @@ class TestGlobalBackbone:
 class TestUniformBackbone:
     def test_per_layer_example(self):
         state = make_state([1.0, -2.0, 3.0, -4.0])
-        assign_thresholds_uniform([state], 0.5, exempt_first_conv=False)
+        assign_thresholds([state], 0.5, BackboneKind("uniform", False))
         assert state.threshold == pytest.approx(2.0)
         assert (np.abs(state.weights.data) > state.threshold).tolist() == [
             False,
@@ -200,7 +199,7 @@ class TestUniformBackbone:
             make_state(rng.standard_normal(30), name="fc0"),
             make_state(rng.standard_normal(30) * 10, name="fc1"),
         ]
-        assign_thresholds_uniform(layers, 0.3, exempt_first_conv=False)
+        assign_thresholds(layers, 0.3, BackboneKind("uniform", False))
         for state in layers:
             expected = brute_force_threshold(np.abs(state.weights.data), 0.3)
             assert state.threshold == pytest.approx(expected)
@@ -210,14 +209,14 @@ class TestUniformBackbone:
         conv0 = make_state([0.5, 0.6], name="conv0", kind="conv")
         conv1 = make_state([0.1, 0.2, 0.3, 0.4], name="conv1", kind="conv")
         fc = make_state([1.0, 2.0], name="fc0")
-        assign_thresholds_uniform([conv0, conv1, fc], 0.5)
+        assign_thresholds([conv0, conv1, fc], 0.5, BackboneKind("uniform"))
         assert conv0.threshold == 0.0
         assert conv1.threshold == pytest.approx(0.2)
         assert fc.threshold == pytest.approx(1.0)
 
     def test_zero_sparsity(self):
         layers = [make_state([1.0, 2.0]), make_state([3.0], name="fc1")]
-        assign_thresholds_uniform(layers, 0.0, exempt_first_conv=False)
+        assign_thresholds(layers, 0.0, BackboneKind("uniform", False))
         assert all(s.threshold == 0.0 for s in layers)
 
 
@@ -241,7 +240,8 @@ class TestBackboneKind:
         via_kind = [make_state(w0, name="fc0"), make_state(w1, name="fc1")]
         direct = [make_state(w0, name="fc0"), make_state(w1, name="fc1")]
         assign_thresholds(via_kind, 0.4, BackboneKind("uniform"))
-        assign_thresholds_uniform(direct, 0.4, exempt_first_conv=True)
+        for state in direct:  # uniform: each layer is a global pool of its own
+            assign_thresholds_global([state], 0.4)
         assert [s.threshold for s in via_kind] == [s.threshold for s in direct]
 
         via_kind = [make_state(w0, name="fc0"), make_state(w1, name="fc1")]

@@ -360,6 +360,15 @@ class TestModelBridge:
         with pytest.raises(FormatError, match="shape"):
             restore_model(model, records)
 
+    @pytest.mark.parametrize("extra", ["fc1/weight", "fc0", "fc/0/weight"])
+    def test_restore_record_of_a_layer_the_model_lacks(self, extra):
+        model = build_mlp(4, [], 2, init_rng(0))
+        records = model_records(model)
+        records[extra] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(FormatError, match=f"^record '{extra}' belongs to no layer "
+                                              r"of the model \(fc0\)$"):
+            restore_model(model, records)
+
     def test_snapshot_records_naming(self):
         snaps = [
             MaskSnapshot(0, {"fc0": np.array([True, False])}),

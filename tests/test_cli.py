@@ -157,18 +157,21 @@ class TestEval:
     @pytest.mark.parametrize("override,named", [
         ("prune.operator=soft", ("'soft'", "'powerp'")),
         ("prune.p=2", ("2.0", "3.0")),
+        ("model.hidden=8,4", ("[8, 4]", "[8]")),
     ])
     def test_operator_mismatch_with_run_config_is_config_error(self, tmp_path, capsys,
                                                                 override, named):
+        # eval and flops check the same keys
         run_train(tmp_path / "run")
         capsys.readouterr()
-        code = main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"),
-                     *BASE, "--set", override])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and override.split("=")[0] in err
-        for value in named:
-            assert value in err
+        for command in ("eval", "flops"):
+            code = main([command, "--checkpoint", str(tmp_path / "run" / "final.fthr"),
+                         *BASE, "--set", override])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and override.split("=")[0] in err
+            for value in named:
+                assert value in err
 
     def test_matching_run_config_keeps_val_top1(self, tmp_path, capsys):
         run_train(tmp_path / "run")
@@ -189,12 +192,15 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "run failed: threshold must be >= 0, got nan" in captured.err
+        assert captured.err == ("run failed: record 'fc0/threshold' holds [nan], "
+                                "expected one finite threshold >= 0\n")
 
     @pytest.mark.parametrize("values,shown", [
         ([], "[]"),
         ([np.inf], "[inf]"),
         ([0.1, 5.0], "[0.1 5. ]"),
+        ([np.nan], "[nan]"),
+        ([-0.5], "[-0.5]"),
     ])
     def test_malformed_threshold_record_is_format_error(self, tmp_path, capsys,
                                                         values, shown):
@@ -211,11 +217,14 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"run failed: record 'fc0/threshold' holds {shown}, "
-                                "expected one finite threshold\n")
+                                "expected one finite threshold >= 0\n")
 
     @pytest.mark.parametrize("edit,message", [
         ("flip", "disagrees with its layer's threshold in 1 of 128 entries"),
+        ("ones", "disagrees with its layer's threshold in {pruned} of 128 entries"),
         ("transpose", "has shape (8, 16), but its layer's weights have shape (16, 8)"),
+        # without a threshold the layer is dense, which its pruning mask contradicts
+        ("no_threshold", "disagrees with its layer's threshold in {pruned} of 128 entries"),
     ])
     def test_mask_record_unlike_its_threshold_is_format_error(self, tmp_path, capsys,
                                                               edit, message):
@@ -223,17 +232,24 @@ class TestEval:
         path = tmp_path / "run" / "final.fthr"
         records = dict(load_checkpoint(path))
         mask = records["fc0/mask"].copy()
+        pruned = int(np.count_nonzero(mask == 0))
         if edit == "flip":
             mask.reshape(-1)[3] ^= 1
+        elif edit == "ones":  # flops once counted such a record as a dense layer
+            mask[...] = 1
+        elif edit == "no_threshold":
+            del records["fc0/threshold"]
         else:
             mask = np.ascontiguousarray(mask.T)
         records["fc0/mask"] = mask
         save_checkpoint(path, records)
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(path), *BASE]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"run failed: record 'fc0/mask' {message}\n"
+        for command in ("eval", "flops"):
+            assert main([command, "--checkpoint", str(path), *BASE]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                f"run failed: record 'fc0/mask' {message.format(pruned=pruned)}\n"
 
     def test_checkpoint_without_mask_records_scores_the_same(self, tmp_path, capsys):
         run_train(tmp_path / "run")
@@ -251,6 +267,40 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.fthr"), *BASE])
         assert code == 1
         assert "run failed" in capsys.readouterr().err
+
+
+class TestCheckpointReader:
+    """``eval`` and ``flops`` restore and threshold a checkpoint through one
+    reader, so each refuses what the other refuses."""
+
+    @staticmethod
+    def moved(run):
+        # the checkpoint alone, without the config.txt that names its run
+        path = run.parent / "moved.fthr"
+        path.write_bytes((run / "final.fthr").read_bytes())
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "flops"])
+    def test_layer_the_checkpoint_lacks_is_format_error(self, tmp_path, capsys, command):
+        run_train(tmp_path / "run")
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(self.moved(tmp_path / "run")), *BASE,
+                     "--set", "model.hidden=8,4"])  # fc0 and fc1 shapes still match
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no phantom dense fc2 row
+        assert captured.err == "run failed: checkpoint is missing record 'fc2/weight'\n"
+
+    @pytest.mark.parametrize("command", ["eval", "flops"])
+    def test_layer_the_model_lacks_is_format_error(self, tmp_path, capsys, command):
+        run_train(tmp_path / "run", ["--set", "model.hidden=8,4"])
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(self.moved(tmp_path / "run")), *BASE])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no score of a truncated network
+        assert captured.err == ("run failed: record 'fc2/weight' belongs to no layer "
+                                "of the model (fc0, fc1)\n")
 
 
 class TestAnalyzeMasks:
@@ -299,6 +349,19 @@ class TestAnalyzeMasks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "run failed: epoch 0 masks have layers" in captured.err
+
+    @pytest.mark.parametrize("records,message", [
+        ({}, "no mask snapshots to correlate"),
+        ({"epoch0000/fc0/mask": np.ones(1, np.uint8)}, "Pearson needs at least 2 entries"),
+    ], ids=["empty", "one_weight"])
+    def test_container_with_nothing_to_correlate_is_format_error(self, tmp_path, capsys,
+                                                                 records, message):
+        bad = tmp_path / "masks.bin"
+        save_checkpoint(bad, records)
+        assert main(["analyze-masks", "--masks", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run failed: {message}\n"
 
     def test_repeated_epoch_names_both_records(self, tmp_path, capsys):
         bad = tmp_path / "masks.bin"
@@ -632,6 +695,41 @@ class TestExitCodes:
         assert run_train(tmp_path / "run", ["--set", override]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_config_file_that_is_not_utf8_is_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"dataset.dims=16\nrun.label=caf\xe9\n")
+        axis = ["--axis", "prune.final_sparsity=0.5"] if command == "sweep" else []
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *BASE, *axis])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"config error: {cfg} is not UTF-8: byte 0xe9 at offset 29\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_config_that_is_not_utf8_is_two(self, tmp_path, capsys):
+        run_train(tmp_path / "run")
+        run_config = tmp_path / "run" / "config.txt"
+        run_config.write_bytes(run_config.read_bytes().replace(b"run.label=run",
+                                                                b"run.label=\xff"))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {run_config} is not UTF-8: "
+                                                  "byte 0xff at offset ")
+
+    def test_value_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
+        # only the documented input errors become exit codes; a fault in the
+        # program keeps its traceback
+        from featherprune import cli
+
+        def broken(model, masks):
+            raise ValueError("fault in the program")
+
+        run_train(tmp_path / "run")
+        monkeypatch.setattr(cli, "flops_count", broken)
+        with pytest.raises(ValueError, match="fault in the program"):
+            main(["flops", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *BASE])
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
