@@ -74,12 +74,17 @@ def mask_pearson(a: np.ndarray, b: np.ndarray) -> float:
     av, bv = np.ravel(a), np.ravel(b)
     if av.size != bv.size:
         raise ValueError(f"mask length mismatch: {av.size} vs {bv.size}")
-    if av.size < 2:
-        raise ValueError("Pearson needs at least 2 entries")
-    # One (2, N) bool pair: corrcoef makes its single float64 copy from it,
-    # where corrcoef(a, b) would convert each vector and then stack them.
     pair = np.empty((2, av.size), dtype=bool)
     pair[0], pair[1] = av, bv
+    return _pair_pearson(pair)
+
+
+def _pair_pearson(pair: np.ndarray) -> float:
+    """``mask_pearson`` of the rows of one (2, N) bool array. corrcoef makes
+    its single float64 copy from the pair, where corrcoef(a, b) would convert
+    each vector and then stack them."""
+    if pair.shape[1] < 2:
+        raise ValueError("Pearson needs at least 2 entries")
     av, bv = pair
     if np.array_equal(av, bv):
         # corrcoef can land one ulp under 1.0; identical masks are exactly 1.
@@ -90,11 +95,13 @@ def mask_pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(pair)[0, 1])
 
 
-def _concat_masks(snapshot: MaskSnapshot) -> np.ndarray:
-    if not snapshot.layers:
-        raise ValueError(f"snapshot for epoch {snapshot.epoch} holds no masks")
-    return np.concatenate([np.ravel(snapshot.unpacked(name))
-                           for name in snapshot.layers]).view(bool)
+def _unpack_into(row: np.ndarray, snapshot: MaskSnapshot) -> None:
+    """Write a snapshot's layers, raveled in order, into one bool row."""
+    start = 0
+    for name in snapshot.layers:
+        bits = snapshot.unpacked(name).reshape(-1)
+        row[start : start + bits.size] = bits.view(bool)
+        start += bits.size
 
 
 def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:
@@ -102,17 +109,23 @@ def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:
 
     Every snapshot must hold the final one's layers, in its order and shapes,
     so that equal positions in the concatenated masks are the same weight.
+    One (2, N) bool pair holds the final masks in its second row and each
+    snapshot's in turn in its first.
     """
     if not snapshots:
         raise ValueError("no mask snapshots to correlate")
     last = snapshots[-1]
-    final = _concat_masks(last)
+    if not last.layers:
+        raise ValueError(f"snapshot for epoch {last.epoch} holds no masks")
+    pair = np.empty((2, sum(math.prod(shape) for _, shape in last.layout)), dtype=bool)
+    _unpack_into(pair[1], last)
     curve = []
     for snap in snapshots:
         if snap.layout != last.layout:
             raise ValueError(f"epoch {snap.epoch} masks have layers {snap.layout}, "
                              f"final epoch {last.epoch} has {last.layout}")
-        curve.append((snap.epoch, mask_pearson(_concat_masks(snap), final)))
+        _unpack_into(pair[0], snap)
+        curve.append((snap.epoch, _pair_pearson(pair)))
     return curve
 
 

@@ -94,15 +94,17 @@ def select_theta(policy: GradScalePolicy, final_sparsity: float) -> float:
 
 
 def _scale_pruned(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
-    """``grad`` scaled by theta off ``mask``; theta = 1 returns ``grad`` itself."""
+    """``grad`` scaled by theta off ``mask``; theta = 1 returns ``grad`` itself.
+    Otherwise the result is a new array and ``grad`` is left as it was."""
     if theta == 1.0:
         return grad
     # max(mask, theta) is 1 where the mask is set and theta elsewhere, as
     # 0 <= theta <= 1; unlike np.where(mask, 1, theta) its cost does not
-    # depend on how the mask's bits are spread.
+    # depend on how the mask's bits are spread. The product goes into the
+    # scale's own array: no third weight-sized array.
     scale = mask.astype(np.float32)
     np.maximum(scale, np.float32(theta), out=scale)
-    return grad * scale
+    return np.multiply(grad, scale, out=scale)
 
 
 def feather_forward(state: PruneLayerState) -> Tensor:

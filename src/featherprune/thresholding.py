@@ -91,26 +91,36 @@ def apply_threshold(
         # underflow of r^-p for very large r is benign: it lands on the hard
         # limit |w| exactly. Only the surviving entries are gathered (by flat
         # index) and evaluated in float64, a fixed-size block of them at a
-        # time so the float64 temporaries stay small; each value is
-        # bit-for-bit what a pass over the whole matrix would give.
+        # time in two preallocated block buffers, so the float64 working set
+        # stays small; each value is bit-for-bit what a pass over the whole
+        # matrix would give.
+        del magnitude
         p = op.p
         kept = np.flatnonzero(mask)
         flat_w = w.reshape(-1)
-        flat_magnitude = magnitude.reshape(-1)
         pruned = np.zeros(w.shape, dtype=w.dtype)
         flat_pruned = pruned.reshape(-1)
+        block = min(kept.size, POWER_BLOCK)
+        scaled_buf, ratio_buf = np.empty(block), np.empty(block)
         for start in range(0, kept.size, POWER_BLOCK):
             index = kept[start : start + POWER_BLOCK]
-            kept_magnitude = flat_magnitude[index].astype(np.float64)
+            signed = flat_w[index]
+            scaled, ratio = scaled_buf[: index.size], ratio_buf[: index.size]
+            np.abs(signed, out=scaled)
             with np.errstate(over="ignore"):
-                ratio = kept_magnitude / threshold
-                scaled = threshold * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
+                np.divide(scaled, threshold, out=ratio)
+                np.multiply(threshold, ratio, out=scaled)
+                # in-place ** takes the same scalar-exponent paths as **
+                ratio **= -p
+                np.subtract(1.0, ratio, out=ratio)
+                ratio **= 1.0 / p
+                scaled *= ratio
             # A subnormal threshold can overflow the ratio; there the bias T is
             # far below one float32 ulp of |w|, so the exact answer is |w|.
             if not np.isfinite(scaled.max()):
-                scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
+                np.copyto(scaled, np.abs(signed), where=~np.isfinite(scaled))
             # Every survivor is nonzero, so copying its sign equals sign(w) * x.
-            flat_pruned[index] = np.copysign(scaled.astype(w.dtype, copy=False), flat_w[index])
+            flat_pruned[index] = np.copysign(scaled.astype(w.dtype, copy=False), signed)
         return pruned, mask
 
     pruned = np.where(mask, surviving, w.dtype.type(0.0))

@@ -224,17 +224,28 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
                     tape.backward(loss)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, batch_index, _layer_norms(model)) from exc
+            # the thresholded weights keep their gradient for callers of
+            # feather_forward; this loop never reads it
+            for key in overrides:
+                overrides[key].grad = None
             for param in params:
                 sgd_step(param.data, param.grad, buffers[id(param)],
                          lr_t, config.momentum, config.weight_decay)
                 param.grad = None
             loss_sum += loss.item() * len(idx)
             step += 1
-        # A step's graph lives until the next step replaces it: under glibc's
-        # default malloc thresholds, freeing it sooner hands the heap back to
-        # the system every step, and the next step faults it all back in. The
-        # last one goes here, before the eval, whose thresholded weights in
-        # turn go when it returns.
+        # Which step arrays live when: the thresholded weights' gradients go
+        # right after the backward, each parameter's once SGD has read it.
+        # The step's graph (its tape with each layer's operands, output and
+        # ReLU mask, and the thresholded weights) lives until the next step
+        # replaces it. It is not freed sooner: under glibc's default malloc
+        # thresholds (callers that do not enter through cli.main) the freed
+        # graph can be trimmed from the heap and faulted back in by the next
+        # step. A variant that freed it before the next feather_forward was
+        # measured at 663k minor faults for an in-process 20-epoch
+        # mlp_extreme train(), against about 20k; the count depends on the
+        # heap's layout. The last graph goes here, before the eval, whose
+        # thresholded weights in turn go when it returns.
         del tape, overrides, logits, loss
 
         val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
@@ -250,6 +261,7 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             mask_pearson_vs_final=1.0,
         ))
 
+    del buffers  # done with; the curve's arrays can take their place
     for record, (_, r) in zip(metrics.records, stability_curve(snapshots)):
         record.mask_pearson_vs_final = r
     # Re-select thresholds on the settled weights so the returned state (and

@@ -137,6 +137,33 @@ def power_threshold_full_matrix(w: np.ndarray, t: float, p: float):
     return np.where(mask, surviving, w.dtype.type(0.0)), mask
 
 
+def power_threshold_blocks(w: np.ndarray, t: float, p: float, block: int):
+    """The power-p branch of ``apply_threshold`` before it ran in preallocated
+    buffers: per block of survivors, |w| gathered from a whole-matrix
+    magnitude array, then one expression that makes a fresh float64 array per
+    step. ``block`` is the survivor count per block. Requires t > 0 and
+    p != 1; returns ``(pruned, mask)``.
+    """
+    w = np.asarray(w)
+    magnitude = np.abs(w)
+    mask = magnitude > t
+    kept = np.flatnonzero(mask)
+    flat_w = w.reshape(-1)
+    flat_magnitude = magnitude.reshape(-1)
+    pruned = np.zeros(w.shape, dtype=w.dtype)
+    flat_pruned = pruned.reshape(-1)
+    for start in range(0, kept.size, block):
+        index = kept[start : start + block]
+        kept_magnitude = flat_magnitude[index].astype(np.float64)
+        with np.errstate(over="ignore"):
+            ratio = kept_magnitude / t
+            scaled = t * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
+        if not np.isfinite(scaled.max()):
+            scaled = np.where(np.isfinite(scaled), scaled, kept_magnitude)
+        flat_pruned[index] = np.copysign(scaled.astype(w.dtype, copy=False), flat_w[index])
+    return pruned, mask
+
+
 def conv2d_im2col_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     """The im2col/col2im conv2d that the library's ``conv2d`` replaced, on arrays.
 

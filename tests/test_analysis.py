@@ -157,6 +157,19 @@ class TestMaskPearsonOneCopy:
         _, peak = peak_bytes(mask_pearson, a, b)
         assert peak <= 2 * n * 8 + (1 << 20), f"peak {peak} bytes"
 
+    def test_curve_peak_is_one_bool_pair_and_its_float64_copy(self):
+        # the 784-300-100-10 MLP's layers: the (2, N) bool pair and corrcoef's
+        # float64 copy of it, with no concatenated per-epoch copies besides
+        shapes = [(784, 300), (300, 100), (100, 10)]
+        n = sum(math.prod(shape) for shape in shapes)
+        rng = np.random.default_rng(0)
+        snaps = [MaskSnapshot(e, {f"fc{i}": rng.random(shape) < 0.02
+                                  for i, shape in enumerate(shapes)})
+                 for e in range(3)]
+        stability_curve(snaps)  # numpy's one-off first-call allocations
+        _, peak = peak_bytes(stability_curve, snaps)
+        assert peak <= 2 * n + 2 * n * 8 + (64 << 10), f"peak {peak} bytes"
+
 
 class TestStabilityCurve:
     def test_final_point_is_exactly_one(self):

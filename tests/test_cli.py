@@ -742,10 +742,17 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+def _env_with_package():
+    """This process's environment with the imported package's directory put
+    first on PYTHONPATH, so a child finds it from a checkout too."""
+    src = str(Path(featherprune.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_console_script_end_to_end(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "featherprune.cli", "train", "--out", str(tmp_path / "r"), *BASE],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=_env_with_package(),
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "r" / "final.fthr").exists()
@@ -759,10 +766,8 @@ def test_import_loads_neither_hashlib_nor_multiprocessing(tmp_path):
             "with featherprune.checkpoint.atomic_open(sys.argv[1]) as fh:\n"
             "    fh.write(b'x')\n"
             "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))")
-    src = str(Path(featherprune.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "artifact")],
-                            capture_output=True, text=True, timeout=60, env=env)
+                            capture_output=True, text=True, timeout=60, env=_env_with_package())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
@@ -789,10 +794,8 @@ def faults():
 faults()
 print(max(faults() for _ in range(4)))
 """
-    src = str(Path(featherprune.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=60, env=env)
+                            timeout=60, env=_env_with_package())
     assert result.returncode == 0, result.stderr
     # two fresh 4 MiB arrays would be ~2000 page faults
     assert int(result.stdout.split()[-1]) < 100

@@ -14,6 +14,7 @@ from featherprune.feather import (
     FIXED,
     GradScalePolicy,
     PruneLayerState,
+    _scale_pruned,
     feather_backward,
     feather_forward,
     select_theta,
@@ -178,6 +179,39 @@ class TestFeatherBackward:
         np.testing.assert_array_equal(
             out[~mask], grad[~mask] * np.float32(theta)
         )
+
+
+class TestScalePruned:
+    """``_scale_pruned`` writes its product into the scale array it makes: the
+    bytes of ``grad * max(mask, theta)``, with ``grad`` left as it was (under
+    a tape, at theta < 1, ``grad`` is the gradient the sparse weights keep)."""
+
+    @given(
+        grad=hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                        elements=st.floats(allow_nan=False, allow_infinity=False, width=32)),
+        theta=st.floats(0, 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_and_grad_untouched(self, grad, theta, data):
+        mask = data.draw(hnp.arrays(np.bool_, grad.shape))
+        before = grad.copy()
+        out = _scale_pruned(grad, mask, theta)
+        want = grad * np.maximum(mask.astype(np.float32), np.float32(theta))
+        assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
+        assert grad.tobytes() == before.tobytes()
+        if theta != 1.0:
+            assert not np.shares_memory(out, grad)
+
+    def test_kept_gradient_is_unscaled(self):
+        # sum_all hands every sparse weight the gradient 1; the kept copy must
+        # not pick up the theta the dense weights get off the mask
+        state = make_state([0.5, 0.1, -0.4], theta=0.25, threshold=0.2)
+        with Tape() as tape:
+            sparse = feather_forward(state)
+            tape.backward(sum_all(sparse))
+        assert sparse.grad.tobytes() == np.float32([1.0, 1.0, 1.0]).tobytes()
+        assert state.weights.grad.tobytes() == np.float32([1.0, 0.25, 1.0]).tobytes()
 
 
 class TestRecordedOp:

@@ -305,6 +305,52 @@ class TestSurvivorOnlyPowerP:
         assert peak <= per_entry + 8 * survivors + 8 * 8 * POWER_BLOCK
 
 
+class TestPreallocatedBlocks:
+    """The power-p branch runs its float64 steps in two reused block buffers;
+    the bytes must be those of the one-expression-per-block form in
+    ``oracles``, across several blocks and through the overflow fallback."""
+
+    POWERS = (1.5, 3.0, 7.0)
+
+    def assert_matches_blocks(self, w, t, p):
+        pruned, mask = apply_threshold(w, t, ThresholdOperator.power(p))
+        want, want_mask = oracles.power_threshold_blocks(w, t, p, POWER_BLOCK)
+        assert pruned.dtype == want.dtype and pruned.shape == want.shape
+        assert pruned.tobytes() == want.tobytes()
+        assert mask.tobytes() == want_mask.tobytes()
+
+    @given(
+        size=st.integers(1, 3 * POWER_BLOCK + 100),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-30.0, 30.0),
+        quantile=st.floats(0.0, 0.999),
+        specials=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32),
+                          max_size=8),
+        p=st.sampled_from(POWERS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_block_expression(self, size, seed, log_scale, quantile, specials, p):
+        rng = np.random.default_rng(seed)
+        w = (rng.standard_normal(size) * np.exp(log_scale)).astype(np.float32)
+        w[rng.integers(0, size, len(specials))] = specials
+        t = float(np.quantile(np.abs(w), quantile))
+        if t == 0.0:
+            t = float(np.float32(1e-42))
+        self.assert_matches_blocks(w, t, p)
+
+    @pytest.mark.parametrize("p", POWERS)
+    @pytest.mark.parametrize("t", [float(np.float32(1e-42)), 5e-324],
+                             ids=["f32_subnormal", "f64_subnormal"])
+    def test_subnormal_threshold_over_several_blocks(self, p, t):
+        # at T = 5e-324, w / T overflows float64 for the large survivors and
+        # takes the |w| fallback; no overflow may escape as a warning
+        w = np.random.default_rng(5).standard_normal(2 * POWER_BLOCK + 7).astype(np.float32)
+        w[::97] = np.float32(3e38)
+        w[1::101] = np.float32(1e-44)
+        with np.errstate(over="raise"):
+            self.assert_matches_blocks(w, t, p)
+
+
 class TestSelectThreshold:
     def test_quarter_example(self):
         t = select_threshold(np.float32([0.05, 0.1, 0.3, 0.7]), 0.5)

@@ -30,6 +30,8 @@ from featherprune.trainer import (
     train_dense,
 )
 
+from memtrace import peak_bytes
+
 
 def small_dataset(seed=0):
     desc = DatasetDescriptor(kind="blobs", dims=16, classes=4, samples=240,
@@ -432,6 +434,19 @@ class TestNothingLeftOver:
             tracemalloc.stop()
         # one byte per weight would be 266,200 bytes an epoch
         assert held <= epochs * (-(-n // 8) + 2048), f"{held} bytes"
+
+    @pytest.mark.parametrize("epochs", [4, 8])
+    def test_train_peak_is_a_few_copies_of_the_weights(self, epochs):
+        # above the model: momentum buffers, gradients, thresholded weights,
+        # masks and one step's graph, with no weight-sized array held twice
+        # (at 5.5x, one more copy of the weights would not fit)
+        data = load_dataset(DatasetDescriptor(kind="blobs", dims=784, classes=10,
+                                              samples=640, noise=0.3, seed=1))
+        model = build_mlp(784, [300, 100], 10, init_rng(1))
+        weight_bytes = sum(layer.weight.data.nbytes for layer in model.layers)
+        _, peak = peak_bytes(train, small_config(epochs=epochs, final_sparsity=0.98),
+                             model, data)
+        assert peak <= 5.5 * weight_bytes, f"peak {peak / weight_bytes:.2f}x the weights"
 
 
 class TestMetricsCsv:
