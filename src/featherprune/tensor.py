@@ -10,8 +10,12 @@ reshape after a convolution runs on contiguous memory.
 
 A network layer is one op: ``matmul`` and ``conv2d`` take an optional bias and
 ReLU, and give bitwise the result of ``relu(add_bias(...))`` with one output
-array and one record, whose backward keeps only the operands and the ReLU
-mask. ``add_bias`` and ``relu`` remain public building blocks.
+array and one record. ``add_bias`` and ``relu`` remain public building blocks.
+
+A record keeps only the arrays its own backward reads: an operand only when a
+gradient that reads it is wanted, and, for a ReLU, the op's output, whose
+positive entries are the ReLU's mask. So nothing may write into an op output's
+``data`` before the backward that reads it has run.
 
 Gradients are recorded on an explicit :class:`Tape`: each operation executed
 while a tape is active appends one record, and ``Tape.backward(loss)`` replays
@@ -179,16 +183,18 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn, o
     """Wrap an op's output, recording it when a tape is active and an input
     requires a gradient. With ``relu`` the output, which must be the op's own
     array, is clamped at zero in place after the finite check, and the
-    recorded backward is called with the ``data > 0`` mask as its ``mask``
-    argument; the mask is taken only when the op is recorded."""
+    recorded backward is called with that clamped array as its ``out``
+    argument. Its positive entries are exactly the pre-activation's, so the
+    backward takes the ReLU mask as ``out > 0`` and no mask is stored. The
+    output therefore must not be written to before the backward runs."""
     data = np.asarray(data, dtype=np.float32)
     _check_finite(data, op_name)
     tape = Tape.current()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
     if relu:
-        if needs_grad:
-            backward_fn = functools.partial(backward_fn, mask=data > 0)
         np.maximum(data, np.float32(0.0), out=data)
+        if needs_grad:
+            backward_fn = functools.partial(backward_fn, out=data)
     out = Tensor(data, requires_grad=needs_grad)
     if needs_grad:
         tape.record(out, backward_fn)
@@ -215,26 +221,30 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None, relu: bool = 
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     if bias is not None:
         _check_bias(bias, b.shape[1], "features")
-    a_data, b_data = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-    need_bias = bias is not None and bias.requires_grad
-    out = a_data @ b_data
+    out = a.data @ b.data
     if bias is not None:
         out += bias.data
+    inputs = (a, b) if bias is None else (a, b, bias)
+    need_a, need_b = a.requires_grad, b.requires_grad
+    need_bias = bias is not None and bias.requires_grad
+    # The backward keeps each operand's array only for the other's gradient,
+    # and a tensor only when it takes a gradient.
+    targets = [t for t in inputs if t.requires_grad]
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
 
-    def backward_fn(g: np.ndarray, mask: Optional[np.ndarray] = None):
-        if mask is not None:
-            g = g * mask
+    def backward_fn(g: np.ndarray, out: Optional[np.ndarray] = None):
+        if out is not None:
+            g = g * (out > 0)
         grads = []
         if need_a:
-            grads.append((a, g @ b_data.T))
+            grads.append(g @ b_data.T)
         if need_b:
-            grads.append((b, a_data.T @ g))
+            grads.append(a_data.T @ g)
         if need_bias:
-            grads.append((bias, g.sum(axis=0)))
-        return grads
+            grads.append(g.sum(axis=0))
+        return list(zip(targets, grads))
 
-    inputs = (a, b) if bias is None else (a, b, bias)
     return _emit(out, inputs, backward_fn, "matmul", relu)
 
 
@@ -259,9 +269,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         reduce_axes = (0, 2, 3)
     else:
         raise ValueError(f"add_bias expects 2-d or 4-d input, got shape {x.shape}")
+    need_x, need_b = x.requires_grad, b.requires_grad
+    targets = [t for t in (x, b) if t.requires_grad]
 
     def backward_fn(g: np.ndarray):
-        return [(x, g), (b, g.sum(axis=reduce_axes))]
+        grads = [g] if need_x else []
+        if need_b:
+            grads.append(g.sum(axis=reduce_axes))
+        return list(zip(targets, grads))
 
     return _emit(out, (x, b), backward_fn, "add_bias")
 
@@ -374,13 +389,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     else:
         out = np.add(product, bias.data.reshape(1, -1, 1, 1),
                      out=np.empty((n, f, h_out, w_out), dtype=np.float32))
-    del product  # the GEMM result goes before the finite check and the ReLU mask
+    del product  # the GEMM result goes before the finite check
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
     need_x, need_k = x.requires_grad, kernel.requires_grad
     need_bias = bias is not None and bias.requires_grad
+    # The backward keeps the columns only for the kernel gradient, the kernel
+    # only for the input gradient, and a tensor only when it takes a gradient:
+    # an input that needs none, such as a batch of images, is not held.
+    targets = [t for t in inputs if t.requires_grad]
+    if not need_k:
+        cols = None
+    if not need_x:
+        k_mat = None
 
-    def backward_fn(g: np.ndarray, mask: Optional[np.ndarray] = None):
-        if mask is not None:
-            g = g * mask
+    def backward_fn(g: np.ndarray, out: Optional[np.ndarray] = None):
+        if out is not None:
+            g = g * (out > 0)
         db = g.sum(axis=(0, 2, 3)) if need_bias else None
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
         del g
@@ -402,9 +426,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
                 dx_hwcn[ii, ij] += dcols[u, v, oi, oj]
             del dcols
             dx = np.ascontiguousarray(dx_hwcn.transpose(3, 2, 0, 1))
-        return [(t, grad) for t, grad in ((x, dx), (kernel, dk), (bias, db)) if grad is not None]
+        return list(zip(targets, (grad for grad in (dx, dk, db) if grad is not None)))
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _emit(out, inputs, backward_fn, "conv2d", relu)
 
 

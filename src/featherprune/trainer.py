@@ -236,16 +236,18 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             step += 1
         # Which step arrays live when: the thresholded weights' gradients go
         # right after the backward, each parameter's once SGD has read it.
-        # The step's graph (its tape with each layer's operands, output and
-        # ReLU mask, and the thresholded weights) lives until the next step
-        # replaces it. It is not freed sooner: under glibc's default malloc
-        # thresholds (callers that do not enter through cli.main) the freed
-        # graph can be trimmed from the heap and faulted back in by the next
-        # step. A variant that freed it before the next feather_forward was
-        # measured at 663k minor faults for an in-process 20-epoch
-        # mlp_extreme train(), against about 20k; the count depends on the
-        # heap's layout. The last graph goes here, before the eval, whose
-        # thresholded weights in turn go when it returns.
+        # The step's graph (its tape with the arrays each layer's backward
+        # reads, and the thresholded weights) lives until the next step
+        # replaces it. Freeing it sooner was measured and saves nothing: a
+        # variant that dropped tape, overrides and logits right after the
+        # backward raised the CLI's peak RSS on perfbench's mlp_extreme
+        # (seed 1) in all six pairs run: by 1.07 MB (61.88 to 62.95 MB) in
+        # three, and by 0.05 MB in three more once the records held no ReLU
+        # masks. The next step
+        # allocates arrays of the same sizes again, so an early free leaves
+        # no lasting room, only a different heap layout. The last graph goes
+        # here, before the eval, whose thresholded weights in turn go when it
+        # returns.
         del tape, overrides, logits, loss
 
         val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,

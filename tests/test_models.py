@@ -4,6 +4,7 @@ what one training step records and holds."""
 import numpy as np
 import pytest
 
+from featherprune.datasets import decode_features
 from featherprune.models import ConvLayer, Model, build_cnn, build_mlp
 from featherprune.seeding import init_rng
 from featherprune.tensor import Tape, Tensor, softmax_cross_entropy
@@ -63,8 +64,8 @@ def test_step_records_one_op_per_layer(build, input_shape, records):
 
 
 def test_cnn_step_peak_at_batch_128():
-    """A step holds each layer's columns, one output and one ReLU mask, not
-    separate bias and ReLU copies of every activation (10.4 MiB when it did)."""
+    """A step holds each layer's columns and one output, not separate bias
+    and ReLU copies of every activation (10.4 MiB when it did)."""
     model = build_cnn((1, 28, 28), 10, init_rng(0))
     rng = np.random.default_rng(0)
     x = Tensor(rng.random((128, 1, 28, 28)))
@@ -74,3 +75,28 @@ def test_cnn_step_peak_at_batch_128():
         param.grad = None
     _, peak = peak_bytes(plain_step, model, x, labels)
     assert peak <= 7.5 * 2**20
+
+
+def decoding_step(model, pixels, labels):
+    """One training step shaped as ``trainer.train`` runs it: the uint8
+    batch is decoded inside the step, so only the step's graph can keep the
+    decoded features alive."""
+    with Tape() as tape:
+        loss = softmax_cross_entropy(model.forward(Tensor(decode_features(pixels))), labels)
+        tape.backward(loss)
+
+
+def test_cnn_step_peak_with_the_batch_decoded_inside():
+    """The first conv's input needs no gradient, so its record keeps only the
+    gathered columns, not the decoded batch (0.4 MiB at batch 128), and no
+    record keeps a ReLU mask beside its output. 7.42 MiB when both were
+    kept."""
+    model = build_cnn((1, 28, 28), 10, init_rng(0))
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(0, 256, (128, 1, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, 128)
+    decoding_step(model, pixels, labels)  # builds the cached im2col indices
+    for param in model.parameters():
+        param.grad = None
+    _, peak = peak_bytes(decoding_step, model, pixels, labels)
+    assert peak <= 7.0 * 2**20

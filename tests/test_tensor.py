@@ -1,5 +1,7 @@
 """Tensor core: autodiff correctness against finite differences, tape mechanics."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -533,6 +535,121 @@ class TestFusedLayerOp:
             with pytest.raises(NonFiniteError, match="conv2d"):
                 conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((2, 1, 3, 3))),
                        bias=bias, relu=True)
+
+
+TINY = np.nextafter(np.float32(0), np.float32(1))  # the smallest positive subnormal
+RELU_EDGES = np.array([0.0, -0.0, TINY, -TINY], dtype=np.float32)
+
+
+class TestReluEdgeValues:
+    """The fused backward takes the ReLU mask from the op's clamped output.
+    At the values where the clamp and the ``> 0`` test could part, zeros of
+    both signs and the smallest subnormals of both signs, the output and
+    every gradient are still bitwise those of ``relu(add_bias(...))``."""
+
+    @staticmethod
+    def inputs(op, rng):
+        """Inputs whose first output channel is exactly the input (one-term
+        products with weight 1, bias -0.0), the edge values among random
+        ones; the other channels are random products."""
+        n = 3 * len(RELU_EDGES)
+        x = rng.standard_normal(n).astype(np.float32)
+        x[::3] = RELU_EDGES
+        if op is matmul:
+            x, w = x.reshape(n, 1), rng.standard_normal((1, 5)).astype(np.float32)
+            w[0, 0] = 1.0
+        else:
+            x, w = x.reshape(2, 1, 2, n // 4), rng.standard_normal((5, 1, 1, 1)).astype(np.float32)
+            w[0] = 1.0
+        return x, w, np.full(5, -0.0, dtype=np.float32)
+
+    @pytest.mark.parametrize("op", [matmul, conv2d], ids=["matmul", "conv2d"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fused_matches_composed(self, op, seed):
+        rng = np.random.default_rng(seed)
+        x_data, w_data, b_data = self.inputs(op, rng)
+        g, results = None, []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+            with Tape() as tape:
+                if fused:
+                    out = op(x, w, bias=b, relu=True)
+                else:
+                    pre = add_bias(op(x, w), b)
+                    pre_bits = pre.data.view(np.uint32)
+                    out = relu_op(pre)
+                if g is None:
+                    g = rng.standard_normal(out.shape).astype(np.float32)
+                tape.backward(pull(out, g))
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
+        # a GEMM that sums its products from +0.0 turns a -0.0 input into
+        # +0.0, so these three are the edge values sure to reach the clamp
+        for edge in (0.0, TINY, -TINY):
+            assert np.float32(edge).view(np.uint32) in pre_bits
+        assert results[0] == results[1]
+
+    def test_clamped_output_masks_like_the_pre_activation(self):
+        """-0.0 cannot reach the clamp through a GEMM, so ``_emit`` is fed it
+        directly: the mask its backward reads is ``pre > 0``, and the output
+        is the composed ``relu``'s, bit for bit."""
+        pre = np.concatenate([RELU_EDGES, np.float32([1.5, -2.5])])
+        x = Tensor(np.zeros_like(pre), requires_grad=True)
+        seen = []
+
+        def backward_fn(g, out):
+            seen.append(out > 0)
+            return []
+
+        with Tape() as tape:
+            out = _emit(pre.copy(), (x,), backward_fn, "edge", relu=True)
+            tape._records[-1][1](np.ones_like(pre))
+        assert out.data.tobytes() == relu_op(Tensor(pre)).data.tobytes()
+        np.testing.assert_array_equal(seen[0], pre > 0)
+
+
+class TestRecordsKeepWhatTheirBackwardReads:
+    """A recorded op holds an operand's array only when a gradient that reads
+    it is wanted: an input that takes no gradient and that no other gradient
+    reads dies with its caller's last reference, while the tape lives on."""
+
+    @pytest.mark.parametrize("dropped", ["conv2d input", "conv2d bias", "matmul bias"])
+    def test_unread_input_is_not_held(self, dropped):
+        rng = np.random.default_rng(0)
+        op = conv2d if dropped.startswith("conv2d") else matmul
+        if op is conv2d:
+            x_data = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+            w_data = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        else:
+            x_data = rng.standard_normal((5, 6)).astype(np.float32)
+            w_data = rng.standard_normal((6, 4)).astype(np.float32)
+        b_data = rng.standard_normal(4).astype(np.float32)
+        x_grad = dropped != "conv2d input"  # the dropped one alone takes no gradient
+        grads = []
+        for keep in (True, False):
+            x = Tensor(x_data.copy(), requires_grad=x_grad)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data.copy(), requires_grad=not x_grad)
+            unread = b if x_grad else x
+            held = weakref.ref(unread.data)
+            with Tape() as tape:
+                loss = sum_all(op(x, w, bias=b, relu=True))
+                if not keep:
+                    del x, b, unread
+                    assert held() is None
+                tape.backward(loss)
+            grads.append(w.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_add_bias_input_is_not_held(self):
+        x = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
+        b = Tensor(np.zeros(4), requires_grad=True)
+        held = weakref.ref(x.data)
+        with Tape() as tape:
+            loss = sum_all(add_bias(x, b))
+            del x
+            assert held() is None
+            tape.backward(loss)
+        np.testing.assert_array_equal(b.grad, np.full(4, 5.0))
 
 
 class TestGradientsOwnTheirMemory:
