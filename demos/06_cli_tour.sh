@@ -18,12 +18,20 @@ base=(--set dataset.dims=32 --set dataset.classes=4 --set dataset.samples=480
       --set train.batch_size=32 --set prune.final_sparsity=0.8)
 
 echo "== train =="
-featherprune train --out "$run" "${base[@]}" --seed 5
+trained="$(featherprune train --out "$run" "${base[@]}" --seed 5)"
+echo "$trained"
 ls "$run"
 
 echo
 echo "== eval (reads the checkpoint, reapplies its thresholds) =="
-featherprune eval --checkpoint "$run/final.fthr" "${base[@]}" --seed 5
+evaluated="$(featherprune eval --checkpoint "$run/final.fthr" "${base[@]}")"
+echo "$evaluated"
+# train prints the top-1 of the network its checkpoint holds
+printed="${trained#*val_top1=}"
+if [[ "${printed%% *}" != "${evaluated##*val_top1,}" ]]; then
+    echo "eval scores ${evaluated##*val_top1,}, train printed ${printed%% *}" >&2
+    exit 1
+fi
 
 echo
 echo "== analyze-masks (per-epoch stability curve) =="

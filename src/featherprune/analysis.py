@@ -66,42 +66,35 @@ class MaskSnapshot:
 
 
 def mask_pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson r between two boolean masks encoded as {0,1}.
-
-    A constant vector has no defined correlation; that case returns 1.0 when
-    the inputs are identical and 0.0 otherwise.
-    """
-    av, bv = np.ravel(a), np.ravel(b)
+    """Pearson r between two masks (nonzero means kept); see ``_pearson``."""
+    av, bv = np.ravel(a).astype(bool, copy=False), np.ravel(b).astype(bool, copy=False)
     if av.size != bv.size:
         raise ValueError(f"mask length mismatch: {av.size} vs {bv.size}")
-    pair = np.empty((2, av.size), dtype=bool)
-    pair[0], pair[1] = av, bv
-    return _pair_pearson(pair)
+    return _pearson(av.size, *(int(np.count_nonzero(v)) for v in (av, bv, av & bv)))
 
 
-def _pair_pearson(pair: np.ndarray) -> float:
-    """``mask_pearson`` of the rows of one (2, N) bool array. corrcoef makes
-    its single float64 copy from the pair, where corrcoef(a, b) would convert
-    each vector and then stack them."""
-    if pair.shape[1] < 2:
+def _pearson(n: int, na: int, nb: int, nab: int) -> float:
+    """Pearson r of two 0/1 vectors of length n from |a|, |b| and |a AND b|,
+    exact in Python ints (in int64 the denominator's product overflows once
+    n passes about 110,000) up to one square root and one division, so
+    neither BLAS nor SIMD loops enter it. Identical vectors give exactly 1.0;
+    otherwise a constant vector, which has no defined correlation, gives 0.0."""
+    if n < 2:
         raise ValueError("Pearson needs at least 2 entries")
-    av, bv = pair
-    if np.array_equal(av, bv):
-        # corrcoef can land one ulp under 1.0; identical masks are exactly 1.
+    if na == nb == nab:
         return 1.0
-    if not (av.any() and bv.any()) or av.all() or bv.all():
+    if na in (0, n) or nb in (0, n):
         return 0.0
-    # corrcoef clips its result to [-1, 1]
-    return float(np.corrcoef(pair)[0, 1])
+    r = (n * nab - na * nb) / math.sqrt(na * (n - na) * nb * (n - nb))
+    return max(-1.0, min(1.0, r))
 
 
-def _unpack_into(row: np.ndarray, snapshot: MaskSnapshot) -> None:
-    """Write a snapshot's layers, raveled in order, into one bool row."""
-    start = 0
-    for name in snapshot.layers:
-        bits = snapshot.unpacked(name).reshape(-1)
-        row[start : start + bits.size] = bits.view(bool)
-        start += bits.size
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _popcount(packed: np.ndarray) -> int:
+    """Set bits of packed bytes, through the table of each byte value's."""
+    return int(_POPCOUNT[packed].sum())
 
 
 def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:
@@ -109,23 +102,27 @@ def stability_curve(snapshots: list[MaskSnapshot]) -> list[tuple[int, float]]:
 
     Every snapshot must hold the final one's layers, in its order and shapes,
     so that equal positions in the concatenated masks are the same weight.
-    One (2, N) bool pair holds the final masks in its second row and each
-    snapshot's in turn in its first.
+    The counts ``_pearson`` needs are summed layer by layer straight from the
+    packed bits; the zero bits that pad a layer to whole bytes count nothing.
     """
     if not snapshots:
         raise ValueError("no mask snapshots to correlate")
     last = snapshots[-1]
     if not last.layers:
         raise ValueError(f"snapshot for epoch {last.epoch} holds no masks")
-    pair = np.empty((2, sum(math.prod(shape) for _, shape in last.layout)), dtype=bool)
-    _unpack_into(pair[1], last)
+    final = [bits for bits, _ in last._bits.values()]
+    n = sum(math.prod(shape) for _, shape in last.layout)
+    nb = sum(map(_popcount, final))
     curve = []
     for snap in snapshots:
         if snap.layout != last.layout:
             raise ValueError(f"epoch {snap.epoch} masks have layers {snap.layout}, "
                              f"final epoch {last.epoch} has {last.layout}")
-        _unpack_into(pair[0], snap)
-        curve.append((snap.epoch, _pair_pearson(pair)))
+        na = nab = 0
+        for (bits, _), final_bits in zip(snap._bits.values(), final):
+            na += _popcount(bits)
+            nab += _popcount(bits & final_bits)
+        curve.append((snap.epoch, _pearson(n, na, nb, nab)))
     return curve
 
 

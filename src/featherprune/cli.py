@@ -69,7 +69,7 @@ def run_spec(spec: RunSpec) -> dict:
     last = result.metrics.records[-1]
     return {
         "label": spec.label,
-        "val_top1": last.val_top1,
+        "val_top1": result.val_top1,
         "achieved_sparsity": last.achieved_sparsity,
         "theta": last.theta,
     }
@@ -84,12 +84,9 @@ def _read_config(path) -> str:
                           f"at offset {exc.start}") from None
 
 
-def _resolved(args) -> dict:
+def _resolved(args, *overrides: str) -> dict:
     file_text = _read_config(args.config) if args.config else None
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"run.seed={args.seed}")
-    return resolve_config(file_text, overrides)
+    return resolve_config(file_text, [*(args.set or []), *overrides])
 
 
 def _write_text(path, text: str) -> None:
@@ -105,7 +102,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_train(args) -> int:
-    values = _resolved(args)
+    values = _resolved(args, *([] if args.seed is None else [f"run.seed={args.seed}"]))
     spec = build_runspec(values, args.out)
     summary = run_spec(spec)
     print(
@@ -300,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
     p.add_argument("--checkpoint", required=True)
     _add_common(p, need_out=False)
-    p.add_argument("--seed", type=int, help="shorthand for run.seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid of runs over config axes and seeds")
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flops", help="per-layer FLOPs report from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _add_common(p, need_out=False)
-    p.add_argument("--seed", type=int, help="shorthand for run.seed")
     p.set_defaults(func=cmd_flops)
 
     return parser

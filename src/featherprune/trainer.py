@@ -120,12 +120,13 @@ class TrainResult:
     """A finished run. Each ``metrics`` record's ``val_top1`` scores the
     network under that epoch's thresholds. ``states`` hold the thresholds
     re-selected on the settled weights after the last epoch, and the masks
-    they give, which is what a checkpoint built from them stores; so the top-1
-    of that checkpoint can differ from the last recorded ``val_top1``."""
+    they give, which is what a checkpoint built from them stores; ``val_top1``
+    scores that network, so it can differ from the last recorded one."""
 
     metrics: RunMetrics
     snapshots: list[MaskSnapshot]
     states: list[PruneLayerState]
+    val_top1: float
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int = 0) -> float:
@@ -184,7 +185,8 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
     """Sparse training under the configured backbone, operator, and policy.
 
     The last epoch's ``val_top1`` is measured before the thresholds are
-    re-selected on the final weights; see :class:`TrainResult`.
+    re-selected on the final weights, the result's after; see
+    :class:`TrainResult`.
     """
     theta = select_theta(config.grad_policy, config.schedule.final_sparsity)
     pairs = [
@@ -263,18 +265,21 @@ def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
             mask_pearson_vs_final=1.0,
         ))
 
-    del buffers  # done with; the curve's arrays can take their place
+    del buffers  # done with; the final eval's arrays can take their place
     for record, (_, r) in zip(metrics.records, stability_curve(snapshots)):
         record.mask_pearson_vs_final = r
     # Re-select thresholds on the settled weights so the returned state (and
     # any checkpoint built from it) is self-consistent: its masks are exactly
     # the thresholds applied to the final weights, at the same quantile the
-    # last epoch recorded.
+    # last epoch recorded. That network is then scored once more.
     assign_thresholds(states, cubic_sparsity(config.epochs - 1, config.schedule),
                       config.backbone)
-    for _, state in pairs:
-        _, state.mask = apply_threshold(state.weights.data, state.threshold, state.op)
-    return TrainResult(metrics, snapshots, states)
+    overrides = {}
+    for layer, state in pairs:
+        pruned, state.mask = apply_threshold(state.weights.data, state.threshold, state.op)
+        overrides[id(layer)] = Tensor(pruned)
+    val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size, overrides)
+    return TrainResult(metrics, snapshots, states, val_top1)
 
 
 def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
@@ -321,4 +326,4 @@ def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
             mask_pearson_vs_final=1.0,
         ))
 
-    return TrainResult(metrics, [], [])
+    return TrainResult(metrics, [], [], metrics.records[-1].val_top1)

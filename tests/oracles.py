@@ -271,18 +271,6 @@ def two_phase_ste_step(model, thresholds: dict, op, theta: float, x: np.ndarray,
     return loss
 
 
-def mask_pearson_two_vector(a, b) -> float:
-    """r the way ``mask_pearson`` once computed it: each mask cast to bool on
-    its own, passed to ``np.corrcoef(a, b)`` as two vectors, and clamped."""
-    av = np.asarray(a).ravel().astype(bool)
-    bv = np.asarray(b).ravel().astype(bool)
-    if av.all() or (~av).all() or bv.all() or (~bv).all():
-        return 1.0 if np.array_equal(av, bv) else 0.0
-    if np.array_equal(av, bv):
-        return 1.0
-    return max(-1.0, min(1.0, float(np.corrcoef(av, bv)[0, 1])))
-
-
 def idx_pixels_whole_array(pixels: np.ndarray) -> np.ndarray:
     """IDX pixels decoded the way ``load_dataset`` once held them: the whole
     uint8 array cast to float32 at load time, then divided by 255 in place."""

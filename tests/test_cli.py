@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import featherprune
-from featherprune.checkpoint import load_checkpoint, model_records, save_checkpoint
+from featherprune.analysis import MaskSnapshot
+from featherprune.checkpoint import (
+    load_checkpoint,
+    model_records,
+    save_checkpoint,
+    snapshot_records,
+)
 from featherprune.cli import build_parser, main
 from featherprune.config import resolve_config
 from featherprune.errors import FormatError
@@ -263,6 +269,37 @@ class TestEval:
         assert main(args) == 0
         assert capsys.readouterr().out == with_masks
 
+    def test_prints_the_number_train_printed(self, tmp_path, capsys):
+        # demo 06's run: at seed 5 the last epoch's thresholds scored 0.7917,
+        # the checkpoint's re-selected ones 0.7708
+        demo = ["--set", "dataset.dims=32", "--set", "dataset.classes=4",
+                "--set", "dataset.samples=480", "--set", "model.hidden=24",
+                "--set", "model.classes=4", "--set", "train.epochs=3",
+                "--set", "train.batch_size=32", "--set", "prune.final_sparsity=0.8"]
+        assert main(["train", "--out", str(tmp_path / "run"), *demo, "--seed", "5"]) == 0
+        printed = capsys.readouterr().out.split("val_top1=")[1].split()[0]
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "final.fthr"), *demo]) == 0
+        assert capsys.readouterr().out == f"metric,value\nval_top1,{printed}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "flops"])
+    def test_run_seed_changes_nothing(self, tmp_path, capsys, command):
+        # every initial weight it would seed is restored from the checkpoint
+        run_train(tmp_path / "run", ["--seed", "3"])
+        outputs = set()
+        for seed in ("0", "7"):
+            capsys.readouterr()
+            assert main([command, "--checkpoint", str(tmp_path / "run" / "final.fthr"),
+                         *BASE, "--set", f"run.seed={seed}"]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "flops"])
+    def test_seed_flag_belongs_to_train_alone(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--checkpoint", str(tmp_path / "final.fthr"), "--seed", "0"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.fthr"), *BASE])
         assert code == 1
@@ -362,6 +399,29 @@ class TestAnalyzeMasks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"run failed: {message}\n"
+
+    def test_curve_bytes_do_not_depend_on_the_blas(self, tmp_path):
+        # a 784-300-100-10 MLP's mask history, converging on a 2%-dense final
+        # mask; each setting picks another OpenBLAS kernel family or thread
+        # count, which the curve's counts must not see
+        rng = np.random.default_rng(20)
+        shapes = [(784, 300), (300, 100), (100, 10)]
+        final = {f"fc{i}": rng.random(shape) < 0.02 for i, shape in enumerate(shapes)}
+        snapshots = [MaskSnapshot(epoch, {name: mask ^ (rng.random(mask.shape) < churn)
+                                          for name, mask in final.items()})
+                     for epoch, churn in enumerate([0.3, 0.1, 0.03, 0.01, 0.003])]
+        snapshots.append(MaskSnapshot(len(snapshots), final))
+        save_checkpoint(tmp_path / "masks.bin", snapshot_records(snapshots))
+        outputs = set()
+        for setting in ({}, {"OPENBLAS_CORETYPE": "Haswell"},
+                        {"OPENBLAS_CORETYPE": "Sandybridge"}, {"OPENBLAS_NUM_THREADS": "1"}):
+            result = subprocess.run(
+                [sys.executable, "-m", "featherprune.cli", "analyze-masks",
+                 "--masks", str(tmp_path / "masks.bin")],
+                capture_output=True, timeout=300, env={**_env_with_package(), **setting})
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_repeated_epoch_names_both_records(self, tmp_path, capsys):
         bad = tmp_path / "masks.bin"
