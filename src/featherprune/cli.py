@@ -242,12 +242,12 @@ def cmd_sweep(args) -> int:
 
     header = [key for key, _ in axes] + ["seeds", "mean_val_top1", "std_val_top1", "failures"]
     lines = [",".join(header)]
-    failed_cells = 0
+    failed_runs = 0
     for i, combo in enumerate(cells):
         cell_results = results[i * len(seeds) : (i + 1) * len(seeds)]
         accs = [acc for status, acc in cell_results if status == "ok"]
         failures = len(seeds) - len(accs)
-        failed_cells += failures
+        failed_runs += failures
         for status, _ in cell_results:
             if status != "ok":
                 print(f"cell {combo} failed: {status}", file=sys.stderr)
@@ -256,6 +256,9 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(list(combo) + [str(len(accs)), repr(mean), repr(std), str(failures)]))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(cells)} cells x {len(seeds)} seeds -> {out / 'sweep.csv'}")
+    if failed_runs == len(jobs):
+        print(f"sweep failed: no run succeeded ({len(jobs)} failed)", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -26,7 +26,9 @@ gradient on without keeping it.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -338,6 +340,56 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     return source.ravel(), padded
 
 
+# OpenBLAS's (get, set) thread-count calls: numpy 2.x wheels, numpy 1.24
+# wheels, system builds
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS numpy loaded, or
+    None when no mapped file with ``openblas`` in its name exports a known
+    pair (another BLAS, or no ``/proc``). Opening a library that is already
+    loaded returns its existing handle, so the calls reach numpy's copy.
+    Looked up on the first call, not at import."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            mapped = {line.split(None, 5)[-1].rstrip("\n") for line in maps}
+    except OSError:
+        return None
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _one_thread_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with OpenBLAS at one thread, then the caller's count again;
+    plain ``a @ b`` when there is no OpenBLAS handle."""
+    handle = _openblas()
+    if handle is None:
+        return a @ b
+    get, set_ = handle
+    caller = get()
+    set_(1)
+    try:
+        return a @ b
+    finally:
+        set_(caller)
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
            bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """2-d cross-correlation with zero padding.
@@ -355,10 +407,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     zero. The products are ``cols @ k_mat.T`` (forward),
     ``g_mat @ k_mat`` (input gradient) and ``g_mat.T @ cols`` (kernel
     gradient). Their bits depend on ``cols`` and ``g_mat`` being C-contiguous
-    when the GEMMs run, so both must stay so. Each input-gradient element sums
-    its taps in row-major (kh, kw) order, starting from zero. The backward
-    forms the kernel and bias gradients first, so that the input gradient's
-    column buffer is the only large temporary alive while it is summed.
+    when the GEMMs run, so both must stay so. Each GEMM runs with OpenBLAS at
+    one thread and then restores the caller's count (``_one_thread_matmul``):
+    these tall, skinny products (n*h_out*w_out rows against at most c*kh*kw
+    and f columns) gain no time from a second thread, whose own buffers cost
+    about 2.9 MB of peak RSS, and whose split changes the kernel gradient's
+    bits at some batch sizes. So the bits here do not depend on the caller's
+    thread count. The count is process-wide: Python threads that run conv2d
+    concurrently share it.
+
+    Each input-gradient element sums its taps in row-major (kh, kw) order,
+    starting from zero. The backward forms the kernel and bias gradients
+    first, so that the input gradient's column buffer is the only large
+    temporary alive while it is summed.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -383,7 +444,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     cols[:, padded] = 0
     cols = cols.reshape(n * h_out * w_out, c * kh * kw)
     k_mat = kernel.data.reshape(f, c * kh * kw)
-    product = (cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
+    product = _one_thread_matmul(cols, k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
     if bias is None:
         out = np.ascontiguousarray(product)
     else:
@@ -408,7 +469,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
         db = g.sum(axis=(0, 2, 3)) if need_bias else None
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
         del g
-        dk = (g_mat.T @ cols).reshape(f, c, kh, kw) if need_k else None
+        dk = _one_thread_matmul(g_mat.T, cols).reshape(f, c, kh, kw) if need_k else None
         dx = None
         if need_x:
             row_taps = [_tap_slices(u, h, h_out, stride, padding) for u in range(kh)]
@@ -419,7 +480,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
             # into an (h, w, c, n)-ordered buffer: each tap's update then runs
             # over c*n contiguous elements. Every element still sums its taps
             # in (u, v) order starting from zero.
-            dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(4, 5, 1, 2, 3, 0)
+            dcols = _one_thread_matmul(g_mat, k_mat).reshape(n, h_out, w_out, c, kh, kw)
+            dcols = dcols.transpose(4, 5, 1, 2, 3, 0)
             del g_mat
             dx_hwcn = np.zeros((h, w, c, n), dtype=np.float32)
             for u, v, (oi, ii), (oj, ij) in taps:

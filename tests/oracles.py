@@ -3,8 +3,10 @@
 Nothing here imports the package under test, except ``two_phase_ste_step``,
 which drives the package's tape and thresholding to replay a training step
 the way the package once ran it, ``stability_curve_bool``, which
-correlates through the package's ``mask_pearson``, and ``sum_all``, which
-records a test loss on the package's tape. The forward passes are written the long way
+correlates through the package's ``mask_pearson``, ``sum_all``, which
+records a test loss on the package's tape, and
+``conv2d_im2col_reference``, which runs its GEMMs at the package's
+conv2d thread count. The forward passes are written the long way
 (explicit loops where that removes any shared structure with the library) so
 agreement is evidence, not tautology.
 """
@@ -167,13 +169,17 @@ def power_threshold_blocks(w: np.ndarray, t: float, p: float, block: int):
 def conv2d_im2col_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     """The im2col/col2im conv2d that the library's ``conv2d`` replaced, on arrays.
 
-    The body is the old operator's, unchanged: a padded copy, a strided
-    window gather reshaped into columns, and col2im into a padded buffer.
+    The body is the old operator's: a padded copy, a strided window gather
+    reshaped into columns, and col2im into a padded buffer. Its three GEMMs
+    run through the package's ``_one_thread_matmul``, as ``conv2d``'s do, so
+    that both sides use one BLAS thread count; a GEMM's bits can depend on it.
     Returns ``(out, backward, cols_is_view)``: the output array, a function
     from the output gradient to ``(dx, dk)``, and whether the column reshape
     returned a view of the (padded) input rather than a copy, in which case
     BLAS was handed a strided operand.
     """
+    from featherprune.tensor import _one_thread_matmul
+
     n, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
     h_out = (h + 2 * padding - kh) // stride + 1
@@ -188,11 +194,12 @@ def conv2d_im2col_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padd
     windows = windows[:, :, ::stride, ::stride, :, :]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * kh * kw)
     k_mat = kernel.reshape(f, c * kh * kw)
-    out = (cols @ k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
+    out = _one_thread_matmul(cols, k_mat.T).reshape(n, h_out, w_out, f).transpose(0, 3, 1, 2)
 
     def backward(g: np.ndarray):
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
-        dcols = (g_mat @ k_mat).reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        dcols = _one_thread_matmul(g_mat, k_mat).reshape(n, h_out, w_out, c, kh, kw)
+        dcols = dcols.transpose(0, 3, 1, 2, 4, 5)
         dpadded = np.zeros_like(padded)
         for u in range(kh):
             for v in range(kw):
@@ -202,7 +209,7 @@ def conv2d_im2col_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padd
             dx = dpadded[:, :, padding : padding + h, padding : padding + w]
         else:
             dx = dpadded
-        return np.ascontiguousarray(dx), (g_mat.T @ cols).reshape(f, c, kh, kw)
+        return np.ascontiguousarray(dx), _one_thread_matmul(g_mat.T, cols).reshape(f, c, kh, kw)
 
     return out, backward, np.shares_memory(cols, padded)
 

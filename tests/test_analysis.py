@@ -16,6 +16,7 @@ from featherprune.analysis import (
     FlopsReport,
     LayerFlops,
     MaskSnapshot,
+    _pearson,
     curve_to_csv,
     flops_count,
     mask_pearson,
@@ -75,6 +76,18 @@ class TestMaskPearson:
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):
             mask_pearson(bools(1), bools(0))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 2**20 + 1, 25_600_000])
+    def test_extremal_tables_stay_in_range_unclamped(self, n):
+        """Complementary masks give exactly -1.0, and a mask one flip from
+        identical or from complementary gives |r| < 1: the tables nearest
+        the ends of [-1, 1] land inside it without a clamp."""
+        for na in sorted({1, n // 2, n - 1}):
+            assert _pearson(n, na, n - na, 0) == -1.0
+            one_flip = [(na + 1, na), (na - 1, na - 1), (n - na + 1, 1), (n - na - 1, 0)]
+            for nb, nab in one_flip:
+                if 0 <= nb <= n and max(0, na + nb - n) <= nab <= min(na, nb):
+                    assert abs(_pearson(n, na, nb, nab)) < 1.0
 
     @given(
         pair=st.lists(

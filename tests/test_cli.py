@@ -581,6 +581,17 @@ class TestSweep:
         assert by_value["-1"][4] == "1"
         assert by_value["-1"][2] == "nan"
 
+    def test_sweep_in_which_every_run_fails_exits_1(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--out", str(tmp_path), *BASE,
+            "--axis", "train.lr=-1",
+            "--seeds", "0",
+        ])
+        assert code == 1
+        assert "no run succeeded (1 failed)" in capsys.readouterr().err
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert lines[1].split(",") == ["-1", "0", "nan", "nan", "1"]
+
     def test_parallel_matches_serial(self, tmp_path):
         args = [
             "--out", None, *BASE,

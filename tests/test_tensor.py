@@ -1,5 +1,6 @@
 """Tensor core: autodiff correctness against finite differences, tape mechanics."""
 
+import os
 import weakref
 
 import numpy as np
@@ -14,6 +15,8 @@ from featherprune.tensor import (
     Tensor,
     _emit,
     _im2col_index,
+    _one_thread_matmul,
+    _openblas,
     add_bias,
     conv2d,
     flatten,
@@ -457,6 +460,80 @@ class TestIm2colIndex:
         index = sum(a.nbytes for a in _im2col_index(c, size, size, 3, 3, 2, 1))
         columns = n * h_out * h_out * c * 9 * 4
         assert peak <= columns + 2 * out.data.nbytes + index + 64 * 1024
+
+
+def _openblas_mapped() -> bool:
+    """Whether a file with ``openblas`` in its name is mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            return any("openblas" in os.path.basename(line.split(None, 5)[-1]) for line in maps)
+    except OSError:
+        return False
+
+
+@pytest.fixture
+def openblas():
+    """The package's ``(get, set)`` OpenBLAS thread calls; the count the test
+    found is set again afterwards."""
+    if not _openblas_mapped():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert _openblas() is not None
+    get, set_ = _openblas()
+    caller = get()
+    yield get, set_
+    set_(caller)
+
+
+class TestConv2dBlasThreads:
+    """conv2d runs its GEMMs at one OpenBLAS thread and then sets the caller's
+    count again, so its bits do not depend on that count."""
+
+    def test_lookup_finds_the_mapped_openblas(self, openblas):
+        get, _ = openblas  # the fixture fails when the lookup finds nothing
+        assert get() >= 1
+
+    @pytest.mark.parametrize("n", [18, 33, 48, 100, 128])
+    @pytest.mark.parametrize("layer", CNN_CONV_SHAPES)
+    def test_bits_do_not_depend_on_the_callers_count(self, openblas, layer, n):
+        _, set_ = openblas
+        c, size, f = layer
+        rng = np.random.default_rng(n)
+        x_data = rng.standard_normal((n, c, size, size)).astype(np.float32)
+        k_data = rng.standard_normal((f, c, 3, 3)).astype(np.float32)
+        b_data = rng.standard_normal(f).astype(np.float32)
+        g = rng.standard_normal((n, f, size // 2, size // 2)).astype(np.float32)
+
+        def run(threads):
+            set_(threads)
+            x = Tensor(x_data, requires_grad=True)
+            kernel = Tensor(k_data, requires_grad=True)
+            bias = Tensor(b_data, requires_grad=True)
+            with Tape() as tape:
+                out = conv2d(x, kernel, 2, 1, bias=bias)
+            (_, dx), (_, dk), (_, db) = tape._records[-1][1](g)
+            return [a.tobytes() for a in (out.data, dx, dk, db)]
+
+        assert run(1) == run(2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_callers_count_is_set_again(self, openblas, threads):
+        get, set_ = openblas
+        set_(threads)
+        rng = np.random.default_rng(threads)
+        x = Tensor(rng.standard_normal((18, 8, 14, 14)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((16, 8, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(conv2d(x, kernel, 2, 1, relu=True))
+            assert get() == threads
+            tape.backward(loss)
+        assert get() == threads and x.grad is not None and kernel.grad is not None
+
+    def test_count_is_set_again_when_the_product_raises(self, openblas):
+        get, set_ = openblas
+        set_(2)
+        with pytest.raises(ValueError):
+            _one_thread_matmul(np.ones((2, 3), np.float32), np.ones((2, 3), np.float32))
+        assert get() == 2
 
 
 def pull(out: Tensor, g: np.ndarray) -> Tensor:
