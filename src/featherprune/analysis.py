@@ -29,9 +29,8 @@ class MaskSnapshot:
     ``MaskSnapshot(epoch, masks)`` takes a mapping from layer name to a bool
     or integer mask (nonzero means kept) and packs each layer with
     ``np.packbits``, so a run's history costs ceil(N/8) bytes per epoch
-    instead of N. ``masks`` unpacks on every read and returns a new dict of
-    fresh bool arrays of the original shapes; ``unpacked(layer)`` gives one
-    layer as a fresh u8 0/1 array, the FTHR mask wire form. Layers keep their
+    instead of N. ``unpacked(layer)`` gives one layer as a fresh u8 0/1 array
+    of its original shape, the FTHR mask wire form. Layers keep their
     insertion order, which is the model's; concatenation order for the
     stability statistics follows it and must match across snapshots.
     """
@@ -59,10 +58,6 @@ class MaskSnapshot:
     def unpacked(self, layer: str) -> np.ndarray:
         bits, shape = self._bits[layer]
         return np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
-
-    @property
-    def masks(self) -> dict[str, np.ndarray]:
-        return {name: self.unpacked(name).view(bool) for name in self._bits}
 
 
 def mask_pearson(a: np.ndarray, b: np.ndarray) -> float:

@@ -170,7 +170,7 @@ def _read_network(args):
 def cmd_eval(args) -> int:
     values, model, network = _read_network(args)
     dataset = load_dataset(build_descriptor(values), expected_classes=values["model.classes"])
-    overrides = {id(layer): Tensor(network[layer.name][0]) for layer in model.layers}
+    overrides = {name: Tensor(weights) for name, (weights, _) in network.items()}
     acc = evaluate_top1(model, dataset.val_x, dataset.val_y,
                         values["train.batch_size"], overrides)
     _emit(f"metric,value\nval_top1,{acc!r}\n", args.out)

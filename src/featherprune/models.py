@@ -2,8 +2,8 @@
 
 Layers hold their parameters as plain tensors; pruning state lives outside
 the model (see :mod:`featherprune.feather`). ``Model.forward`` accepts an
-optional mapping from layer to a substitute weight tensor, which is how the
-sparse training loop injects thresholded weights without touching the dense
+optional mapping from layer name to a substitute weight tensor, which is how
+the sparse training loop injects thresholded weights without touching the dense
 parameters. In training each substitute is the output of ``feather_forward``'s
 recorded op, so the tape carries the gradient through it to the dense weights.
 Each layer, with its bias and the ReLU after it, runs as one ``matmul`` or
@@ -72,13 +72,19 @@ class Model:
         self.input_shape = tuple(input_shape)
 
     def forward(self, x: Tensor, weight_overrides: Optional[dict] = None) -> Tensor:
+        """``weight_overrides`` maps layer names to the weights to use in
+        place of those layers' own; a key that names no layer is an error."""
         overrides = weight_overrides or {}
+        unknown = overrides.keys() - {layer.name for layer in self.layers}
+        if unknown:
+            raise ValueError(f"weight overrides for no layer of this model: "
+                             f"{sorted(unknown, key=repr)}")
         t = x
         last = self.layers[-1]
         for layer in self.layers:
             if layer.kind == "fc" and t.data.ndim == 4:
                 t = flatten(t)
-            weight = overrides.get(id(layer), layer.weight)
+            weight = overrides.get(layer.name, layer.weight)
             t = layer.forward(t, weight, relu=layer is not last)
         return t
 

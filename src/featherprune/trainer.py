@@ -1,10 +1,12 @@
 """Deterministic training loop with sparse (straight-through) and dense paths.
 
-Per epoch the loop: refreshes the requested sparsity and per-layer thresholds,
-iterates seeded mini-batches (thresholded forward, reverse-mode backward,
-pruned-gradient scaling, SGD update), evaluates top-1 on the validation split
-using the thresholded weights (the deployed network), and snapshots the masks.
-Layers built with ``prunable=False`` get no prune state and train dense.
+``train`` loops ``run_epoch`` over the run's state at an epoch boundary, a
+:class:`TrainResult`. Each epoch refreshes the requested sparsity and
+per-layer thresholds, iterates seeded mini-batches (thresholded forward,
+reverse-mode backward, pruned-gradient scaling, SGD update), evaluates top-1 on
+the validation split using the thresholded weights keyed by layer name (the
+deployed network), and snapshots the masks. Layers built with
+``prunable=False`` get no prune state and train dense.
 
 Reproducibility contract: (config, seed, dataset) determines every emitted
 number bitwise. Data order, parameter init, and the learning-rate path are all
@@ -33,11 +35,13 @@ from .backbones import (
 from .datasets import decode_features
 from .errors import NonFiniteError, TrainingDivergedError
 from .feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
-from .feather import feather_backward  # noqa: F401 - unused; perfbench's tracer patches this name
 from .models import Model
 from .seeding import epoch_permutation
 from .tensor import Tape, Tensor, softmax_cross_entropy
-from .thresholding import ThresholdOperator, apply_threshold
+from .thresholding import ThresholdOperator
+# unused here; perfbench's tracer patches these names
+from .feather import feather_backward  # noqa: F401
+from .thresholding import apply_threshold  # noqa: F401
 
 __all__ = [
     "TrainConfig",
@@ -46,6 +50,7 @@ __all__ = [
     "TrainResult",
     "cosine_lr",
     "sgd_step",
+    "run_epoch",
     "train",
     "train_dense",
     "evaluate_top1",
@@ -117,16 +122,23 @@ class RunMetrics:
 
 @dataclass
 class TrainResult:
-    """A finished run. Each ``metrics`` record's ``val_top1`` scores the
-    network under that epoch's thresholds. ``states`` hold the thresholds
-    re-selected on the settled weights after the last epoch, and the masks
-    they give, which is what a checkpoint built from them stores; ``val_top1``
-    scores that network, so it can differ from the last recorded one."""
+    """The run at an epoch boundary; ``train`` returns it finished.
+
+    ``epoch`` is the next epoch to run; ``momentum`` holds one SGD buffer per
+    ``model.parameters()`` entry, in that order. Each ``metrics`` record's
+    ``val_top1`` scores the network under that epoch's thresholds, and each
+    snapshot holds that epoch's masks. A finished run has no momentum; its
+    ``states`` hold the thresholds re-selected on the settled weights after the
+    last epoch and the masks they give, which a checkpoint built from them
+    stores. ``val_top1`` (NaN until then) scores that network, so it can differ
+    from the last recorded one."""
 
     metrics: RunMetrics
     snapshots: list[MaskSnapshot]
     states: list[PruneLayerState]
     val_top1: float
+    momentum: list[np.ndarray]
+    epoch: int
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int = 0) -> float:
@@ -167,7 +179,9 @@ def sgd_step(weights: np.ndarray, grad: np.ndarray, momentum_buffer: np.ndarray,
 def evaluate_top1(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int,
                   weight_overrides: Optional[dict] = None) -> float:
     """Top-1 accuracy over stored rows (a :class:`SplitDataset` split), evaluated
-    without gradient recording; each batch goes through ``decode_features``."""
+    without gradient recording; each batch goes through ``decode_features``.
+    ``weight_overrides`` maps layer names to the weights to use in their place
+    (see :meth:`Model.forward`)."""
     correct = 0
     for start in range(0, len(x), batch_size):
         xb = Tensor(decode_features(x[start : start + batch_size]))
@@ -181,125 +195,116 @@ def _layer_norms(model: Model) -> dict[str, float]:
     return {layer.name: float(np.linalg.norm(layer.weight.data)) for layer in model.layers}
 
 
+def _step_lr(config: TrainConfig, n_train: int, epoch: int, batch_index: int = 0) -> float:
+    """``cosine_lr`` at step ``epoch * steps_per_epoch + batch_index`` of the run."""
+    per_epoch = math.ceil(n_train / config.batch_size)
+    return cosine_lr(epoch * per_epoch + batch_index, config.epochs * per_epoch, config.lr,
+                     config.lr_warmup_epochs * per_epoch)
+
+
+def run_epoch(config: TrainConfig, model: Model, run: TrainResult, dataset) -> None:
+    """Train epoch ``run.epoch`` of ``run`` on ``model``, the model whose
+    parameters ``run.momentum`` and ``run.states`` hold state for; append the
+    epoch's record and mask snapshot, then advance ``run.epoch``."""
+    epoch, states, params = run.epoch, run.states, model.parameters()
+    assign_thresholds(states, cubic_sparsity(epoch, config.schedule), config.backbone)
+    achieved = measured_sparsity(states)
+    n_train = len(dataset.train_x)
+    perm = epoch_permutation(config.seed, epoch, n_train)
+    loss_sum = 0.0
+    for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
+        idx = perm[start : start + config.batch_size]
+        lr_t = _step_lr(config, n_train, epoch, batch_index)
+        try:
+            with Tape() as tape:
+                overrides = {state.name: feather_forward(state) for state in states}
+                logits = model.forward(Tensor(decode_features(dataset.train_x[idx])), overrides)
+                loss = softmax_cross_entropy(logits, dataset.train_y[idx],
+                                             config.label_smoothing)
+                tape.backward(loss)
+        except NonFiniteError as exc:
+            raise TrainingDivergedError(epoch, batch_index, _layer_norms(model)) from exc
+        # the thresholded weights keep their gradient for callers of
+        # feather_forward; this loop never reads it
+        for sparse in overrides.values():
+            sparse.grad = None
+        for param, buffer in zip(params, run.momentum, strict=True):
+            sgd_step(param.data, param.grad, buffer, lr_t, config.momentum, config.weight_decay)
+            param.grad = None
+        loss_sum += loss.item() * len(idx)
+    # Which step arrays live when: the thresholded weights' gradients go
+    # right after the backward, each parameter's once SGD has read it.
+    # The step's graph (its tape with the arrays each layer's backward
+    # reads, and the thresholded weights) lives until the next step
+    # replaces it. Freeing it sooner was measured and saves nothing: a
+    # variant that dropped tape, overrides and logits right after the
+    # backward raised the CLI's peak RSS on perfbench's mlp_extreme
+    # (seed 1) in all six pairs run: by 1.07 MB (61.88 to 62.95 MB) in
+    # three, and by 0.05 MB in three more once the records held no ReLU
+    # masks. The next step allocates arrays of the same sizes again, so an
+    # early free leaves no lasting room, only a different heap layout. The
+    # last graph goes here, before the eval, whose thresholded weights in
+    # turn go when it returns.
+    del tape, overrides, logits, loss
+
+    val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
+                             {state.name: feather_forward(state) for state in states})
+    run.snapshots.append(MaskSnapshot(epoch, {state.name: state.mask for state in states}))
+    run.metrics.records.append(EpochRecord(
+        epoch=epoch,
+        train_loss=loss_sum / n_train,
+        val_top1=val_top1,
+        achieved_sparsity=achieved,
+        lr=_step_lr(config, n_train, epoch),
+        theta=select_theta(config.grad_policy, config.schedule.final_sparsity),
+        mask_pearson_vs_final=1.0,
+    ))
+    run.epoch += 1
+
+
 def train(config: TrainConfig, model: Model, dataset) -> TrainResult:
-    """Sparse training under the configured backbone, operator, and policy.
+    """Sparse training under the configured backbone, operator, and policy:
+    ``run_epoch`` over every epoch, then the finishing re-selection.
 
     The last epoch's ``val_top1`` is measured before the thresholds are
     re-selected on the final weights, the result's after; see
     :class:`TrainResult`.
     """
     theta = select_theta(config.grad_policy, config.schedule.final_sparsity)
-    pairs = [
-        (layer, PruneLayerState(layer.name, layer.kind, layer.weight, config.operator,
-                                theta=theta))
-        for layer in model.layers if layer.prunable
-    ]
-    states = [state for _, state in pairs]
+    states = [PruneLayerState(layer.name, layer.kind, layer.weight, config.operator, theta=theta)
+              for layer in model.layers if layer.prunable]
+    run = TrainResult(RunMetrics(), [], states, math.nan,
+                      [np.zeros_like(p.data) for p in model.parameters()], 0)
+    while run.epoch < config.epochs:
+        run_epoch(config, model, run, dataset)
 
-    params = model.parameters()
-    buffers = {id(p): np.zeros_like(p.data) for p in params}
-    n_train = len(dataset.train_x)
-    steps_per_epoch = math.ceil(n_train / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    warmup_steps = config.lr_warmup_epochs * steps_per_epoch
-
-    metrics = RunMetrics()
-    snapshots: list[MaskSnapshot] = []
-    step = 0
-    for epoch in range(config.epochs):
-        requested = cubic_sparsity(epoch, config.schedule)
-        assign_thresholds(states, requested, config.backbone)
-        achieved = measured_sparsity(states)
-        epoch_lr = cosine_lr(step, total_steps, config.lr, warmup_steps)
-
-        perm = epoch_permutation(config.seed, epoch, n_train)
-        loss_sum = 0.0
-        for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
-            lr_t = cosine_lr(step, total_steps, config.lr, warmup_steps)
-            try:
-                with Tape() as tape:
-                    overrides = {id(layer): feather_forward(state) for layer, state in pairs}
-                    logits = model.forward(Tensor(decode_features(dataset.train_x[idx])), overrides)
-                    loss = softmax_cross_entropy(logits, dataset.train_y[idx],
-                                                 config.label_smoothing)
-                    tape.backward(loss)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(epoch, batch_index, _layer_norms(model)) from exc
-            # the thresholded weights keep their gradient for callers of
-            # feather_forward; this loop never reads it
-            for key in overrides:
-                overrides[key].grad = None
-            for param in params:
-                sgd_step(param.data, param.grad, buffers[id(param)],
-                         lr_t, config.momentum, config.weight_decay)
-                param.grad = None
-            loss_sum += loss.item() * len(idx)
-            step += 1
-        # Which step arrays live when: the thresholded weights' gradients go
-        # right after the backward, each parameter's once SGD has read it.
-        # The step's graph (its tape with the arrays each layer's backward
-        # reads, and the thresholded weights) lives until the next step
-        # replaces it. Freeing it sooner was measured and saves nothing: a
-        # variant that dropped tape, overrides and logits right after the
-        # backward raised the CLI's peak RSS on perfbench's mlp_extreme
-        # (seed 1) in all six pairs run: by 1.07 MB (61.88 to 62.95 MB) in
-        # three, and by 0.05 MB in three more once the records held no ReLU
-        # masks. The next step
-        # allocates arrays of the same sizes again, so an early free leaves
-        # no lasting room, only a different heap layout. The last graph goes
-        # here, before the eval, whose thresholded weights in turn go when it
-        # returns.
-        del tape, overrides, logits, loss
-
-        val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
-                                 {id(layer): feather_forward(state) for layer, state in pairs})
-        snapshots.append(MaskSnapshot(epoch, {state.name: state.mask for state in states}))
-        metrics.records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / n_train,
-            val_top1=val_top1,
-            achieved_sparsity=achieved,
-            lr=epoch_lr,
-            theta=theta,
-            mask_pearson_vs_final=1.0,
-        ))
-
-    del buffers  # done with; the final eval's arrays can take their place
-    for record, (_, r) in zip(metrics.records, stability_curve(snapshots)):
+    run.momentum.clear()  # done with; the final eval's arrays can take their place
+    for record, (_, r) in zip(run.metrics.records, stability_curve(run.snapshots)):
         record.mask_pearson_vs_final = r
     # Re-select thresholds on the settled weights so the returned state (and
     # any checkpoint built from it) is self-consistent: its masks are exactly
     # the thresholds applied to the final weights, at the same quantile the
-    # last epoch recorded. That network is then scored once more.
+    # last epoch recorded. That network is then scored once more; with no tape
+    # active, feather_forward sets each state's mask and returns a constant.
     assign_thresholds(states, cubic_sparsity(config.epochs - 1, config.schedule),
                       config.backbone)
-    overrides = {}
-    for layer, state in pairs:
-        pruned, state.mask = apply_threshold(state.weights.data, state.threshold, state.op)
-        overrides[id(layer)] = Tensor(pruned)
-    val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size, overrides)
-    return TrainResult(metrics, snapshots, states, val_top1)
+    run.val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
+                                 {state.name: feather_forward(state) for state in states})
+    return run
 
 
 def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
     """Plain dense training; the reference loop for the zero-sparsity case."""
     params = model.parameters()
-    buffers = {id(p): np.zeros_like(p.data) for p in params}
+    buffers = [np.zeros_like(p.data) for p in params]
     n_train = len(dataset.train_x)
-    steps_per_epoch = math.ceil(n_train / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    warmup_steps = config.lr_warmup_epochs * steps_per_epoch
-
     metrics = RunMetrics()
-    step = 0
     for epoch in range(config.epochs):
-        epoch_lr = cosine_lr(step, total_steps, config.lr, warmup_steps)
         perm = epoch_permutation(config.seed, epoch, n_train)
         loss_sum = 0.0
         for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            lr_t = cosine_lr(step, total_steps, config.lr, warmup_steps)
+            lr_t = _step_lr(config, n_train, epoch, batch_index)
             try:
                 with Tape() as tape:
                     logits = model.forward(Tensor(decode_features(dataset.train_x[idx])))
@@ -308,22 +313,16 @@ def train_dense(config: TrainConfig, model: Model, dataset) -> TrainResult:
                     tape.backward(loss)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(epoch, batch_index, _layer_norms(model)) from exc
-            for param in params:
-                sgd_step(param.data, param.grad, buffers[id(param)],
-                         lr_t, config.momentum, config.weight_decay)
+            for param, buffer in zip(params, buffers):
+                sgd_step(param.data, param.grad, buffer, lr_t, config.momentum,
+                         config.weight_decay)
                 param.grad = None
             loss_sum += loss.item() * len(idx)
-            step += 1
 
         val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size)
         metrics.records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / n_train,
-            val_top1=val_top1,
-            achieved_sparsity=0.0,
-            lr=epoch_lr,
-            theta=1.0,
-            mask_pearson_vs_final=1.0,
-        ))
+            epoch=epoch, train_loss=loss_sum / n_train, val_top1=val_top1,
+            achieved_sparsity=0.0, lr=_step_lr(config, n_train, epoch), theta=1.0,
+            mask_pearson_vs_final=1.0))
 
-    return TrainResult(metrics, [], [], metrics.records[-1].val_top1)
+    return TrainResult(metrics, [], [], metrics.records[-1].val_top1, [], config.epochs)

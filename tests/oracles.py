@@ -267,13 +267,13 @@ def two_phase_ste_step(model, thresholds: dict, op, theta: float, x: np.ndarray,
     leaves = {}
     for layer in model.layers:
         pruned, mask = apply_threshold(layer.weight.data, thresholds[layer.name], op)
-        leaves[id(layer)] = (Tensor(pruned, requires_grad=True), mask)
+        leaves[layer.name] = (Tensor(pruned, requires_grad=True), mask)
     overrides = {key: leaf for key, (leaf, _) in leaves.items()}
     with Tape() as tape:
         loss = softmax_cross_entropy(model.forward(Tensor(x), overrides), labels)
         tape.backward(loss)
     for layer in model.layers:
-        leaf, mask = leaves[id(layer)]
+        leaf, mask = leaves[layer.name]
         layer.weight.grad = leaf.grad * np.where(mask, np.float32(1.0), np.float32(theta))
     return loss
 
@@ -288,11 +288,19 @@ def idx_pixels_whole_array(pixels: np.ndarray) -> np.ndarray:
 
 class BoolMaskSnapshot:
     """A per-epoch mask snapshot the way ``MaskSnapshot`` once held it: the
-    layer masks themselves, one bool (or u8) byte per weight."""
+    layer masks themselves, one bool (or u8) byte per weight. ``layers`` and
+    ``unpacked`` read them as ``MaskSnapshot``'s do."""
 
     def __init__(self, epoch: int, masks: dict):
         self.epoch = epoch
         self.masks = masks
+
+    @property
+    def layers(self) -> list:
+        return list(self.masks)
+
+    def unpacked(self, layer: str) -> np.ndarray:
+        return np.asarray(self.masks[layer]).astype(np.uint8)
 
 
 def stability_curve_bool(snapshots) -> list:
@@ -327,7 +335,6 @@ def snapshot_records_u8(snapshots) -> dict:
     u8 copy of every epoch's every layer, all in one dict."""
     records = {}
     for snap in snapshots:
-        for layer_name, mask in snap.masks.items():
-            records[f"epoch{snap.epoch:04d}/{layer_name}/mask"] = \
-                np.asarray(mask).astype(np.uint8)
+        for layer_name in snap.layers:
+            records[f"epoch{snap.epoch:04d}/{layer_name}/mask"] = snap.unpacked(layer_name)
     return records

@@ -390,9 +390,9 @@ class TestModelBridge:
         assert [snap.epoch for snap in back] == [0, 3, 12]
         for want, got in zip(sorted(snaps, key=lambda snap: snap.epoch), back):
             assert got.layers == list(shapes)
-            for name, mask in want.masks.items():
-                assert got.masks[name].shape == shapes[name]
-                np.testing.assert_array_equal(got.masks[name], mask)
+            for name in want.layers:
+                assert got.unpacked(name).shape == shapes[name]
+                np.testing.assert_array_equal(got.unpacked(name), want.unpacked(name))
 
     @pytest.mark.parametrize("name", ["epochX/fc0/mask", "epoch/fc0/mask",
                                       "step0001/fc0/mask", "epoch0001/fc0/weight"])

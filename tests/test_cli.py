@@ -148,7 +148,7 @@ class TestEval:
         for layer in model.layers:
             t = float(records[f"{layer.name}/threshold"][0])
             pruned, _ = apply_threshold(layer.weight.data, t, op)
-            overrides[id(layer)] = Tensor(pruned)
+            overrides[layer.name] = Tensor(pruned)
         expected = evaluate_top1(model, dataset.val_x, dataset.val_y, 32, overrides)
         assert float(value) == expected
 
@@ -604,6 +604,20 @@ class TestSweep:
         args[1] = str(b)
         assert main(["sweep", *args, "--jobs", "2"]) == 0
         assert (a / "sweep.csv").read_text() == (b / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_cell_writes_what_train_writes(self, tmp_path, jobs):
+        # at --jobs 1 the cells run one after another in this process, at
+        # --jobs 2 in pool workers; no run may see state left by another
+        assert main(["sweep", "--out", str(tmp_path / "sweep"), *BASE, "--axis",
+                     "prune.final_sparsity=0.2,0.7", "--seeds", "0", "--jobs", jobs]) == 0
+        for sparsity in ("0.2", "0.7"):
+            alone = tmp_path / f"train-{sparsity}"
+            assert run_train(alone, ["--set", f"prune.final_sparsity={sparsity}",
+                                     "--set", "run.seed=0"]) == 0
+            cell = tmp_path / "sweep" / f"prune-final_sparsity_{sparsity}" / "seed0"
+            for name in ("metrics.csv", "masks.bin", "final.fthr"):
+                assert (cell / name).read_bytes() == (alone / name).read_bytes(), name
 
     @pytest.mark.parametrize("seeds,started", [("0", 0), ("0,1", 2)])
     def test_pool_starts_no_more_workers_than_runs(self, tmp_path, monkeypatch, seeds, started):

@@ -369,6 +369,11 @@ class TestLoadDataset:
         np.testing.assert_array_equal(data.train_x, x[:24])
         np.testing.assert_array_equal(data.val_y, y[24:])
 
+    def test_fractional_train_count_is_truncated(self):
+        # 0.85 * 30 = 25.5: truncating keeps 25 training rows, rounding 26
+        data = load_dataset(blob_desc(samples=30, split=0.85))
+        assert (len(data.train_x), len(data.val_x)) == (25, 5)
+
     def test_blob_metadata(self):
         data = load_dataset(blob_desc())
         assert data.input_shape == (8,)

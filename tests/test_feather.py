@@ -242,8 +242,7 @@ class TestRecordedOp:
                                   threshold=thresholds[layer.name])
                   for layer in recorded.layers]
         with Tape() as tape:
-            overrides = {id(layer): feather_forward(state)
-                         for layer, state in zip(recorded.layers, states)}
+            overrides = {state.name: feather_forward(state) for state in states}
             loss = softmax_cross_entropy(recorded.forward(Tensor(x), overrides), labels)
             tape.backward(loss)
 
@@ -255,7 +254,7 @@ class TestRecordedOp:
         # the thresholded weights keep their own gradient, equal to the dense
         # weights' where the mask is set, in memory of their own
         for layer, state in zip(recorded.layers, states):
-            kept, dense = overrides[id(layer)].grad, layer.weight.grad
+            kept, dense = overrides[layer.name].grad, layer.weight.grad
             assert kept is not None and not np.shares_memory(kept, dense)
             assert kept[state.mask].tobytes() == dense[state.mask].tobytes()
 

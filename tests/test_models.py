@@ -43,6 +43,17 @@ def test_conv_layer_shape_matches_forward(stride, padding, side):
     assert forward_shapes(model) == model.layer_output_shapes()
 
 
+def test_overrides_keyed_by_anything_but_a_layer_name_are_refused():
+    # an id(layer)-keyed dict would otherwise run the dense weights unnoticed
+    model = build_mlp(6, [4], 3, init_rng(0))
+    x = Tensor(np.ones((2, 6), dtype=np.float32))
+    by_name = {layer.name: Tensor(np.zeros_like(layer.weight.data)) for layer in model.layers}
+    assert not model.forward(x, by_name).data.any()
+    by_id = {id(layer): weight for layer, weight in zip(model.layers, by_name.values())}
+    with pytest.raises(ValueError, match="no layer"):
+        model.forward(x, by_id)
+
+
 def plain_step(model, x, labels):
     """One training step without feather overrides; returns its record count."""
     with Tape() as tape:

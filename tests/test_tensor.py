@@ -736,7 +736,7 @@ class TestGradientsOwnTheirMemory:
     the incoming gradient on (add_bias) or a view of it (reshape, flatten)."""
 
     def sweep(self, model, x):
-        overrides = {id(layer): Tensor(layer.weight.data, requires_grad=True)
+        overrides = {layer.name: Tensor(layer.weight.data, requires_grad=True)
                      for layer in model.layers}
         with Tape() as tape:
             logits = model.forward(Tensor(x), overrides)

@@ -5,16 +5,18 @@ they check contracts (bitwise repeatability, dense equivalence at zero
 sparsity, schedule tracking), not accuracy numbers.
 """
 
+import math
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from featherprune.analysis import MaskSnapshot
 from featherprune.backbones import BackboneKind, SparsitySchedule, cubic_sparsity
 from featherprune.datasets import DatasetDescriptor, SplitDataset, load_dataset
 from featherprune.errors import TrainingDivergedError
-from featherprune.feather import GradScalePolicy
+from featherprune.feather import GradScalePolicy, PruneLayerState, select_theta
 from featherprune.models import build_cnn, build_mlp
 from featherprune.seeding import init_rng
 from featherprune.tensor import Tensor
@@ -23,8 +25,10 @@ from featherprune.trainer import (
     METRICS_HEADER,
     RunMetrics,
     TrainConfig,
+    TrainResult,
     cosine_lr,
     evaluate_top1,
+    run_epoch,
     sgd_step,
     train,
     train_dense,
@@ -178,7 +182,7 @@ class TestEvaluateTop1:
         model = small_model()
         data = small_dataset()
         base = evaluate_top1(model, data.val_x, data.val_y, 32)
-        zeroed = {id(layer): Tensor(np.zeros_like(layer.weight.data))
+        zeroed = {layer.name: Tensor(np.zeros_like(layer.weight.data))
                   for layer in model.layers}
         flat = evaluate_top1(model, data.val_x, data.val_y, 32, zeroed)
         # all-zero network predicts class 0 everywhere
@@ -257,7 +261,7 @@ class TestTrainLoop:
         data = small_dataset()
         result = train(small_config(epochs=3), small_model(), data)
         assert [s.epoch for s in result.snapshots] == [0, 1, 2]
-        assert set(result.snapshots[0].masks) == {"fc0", "fc1"}
+        assert result.snapshots[0].layers == ["fc0", "fc1"]
 
     def test_divergence_reports_location(self):
         data = small_dataset()
@@ -286,7 +290,7 @@ class TestTrainLoop:
         before = head.weight.data.copy()
         result = train(small_config(epochs=3, final_sparsity=0.6), model, data)
         assert [s.name for s in result.states] == ["fc0"]
-        assert all(set(s.masks) == {"fc0"} for s in result.snapshots)
+        assert all(s.layers == ["fc0"] for s in result.snapshots)
         assert not np.array_equal(head.weight.data, before)
         records = model_records(model, result.states)
         assert "fc1/threshold" not in records and "fc1/mask" not in records
@@ -304,6 +308,73 @@ class TestTrainLoop:
         assert [s.name for s in result.states] == ["conv2", "fc0"]
         assert result.states[0].threshold == 0.0
         assert result.states[1].threshold > 0.0
+
+
+def fresh_run(cfg, model):
+    """The run at epoch 0 as ``train`` starts it."""
+    theta = select_theta(cfg.grad_policy, cfg.schedule.final_sparsity)
+    states = [PruneLayerState(layer.name, layer.kind, layer.weight, cfg.operator, theta=theta)
+              for layer in model.layers if layer.prunable]
+    return TrainResult(RunMetrics(), [], states, math.nan,
+                       [np.zeros_like(p.data) for p in model.parameters()], 0)
+
+
+class TestEpochBoundary:
+    """A run rebuilt at an epoch boundary from copies of its arrays, on a
+    model of another init with fresh prune states, finishes byte-equal to a
+    run that was never interrupted."""
+
+    EPOCHS = 4
+
+    @staticmethod
+    def finish(cfg, model, run, data):
+        while run.epoch < cfg.epochs:
+            run_epoch(cfg, model, run, data)
+        return (run.metrics.to_csv(), [p.data.tobytes() for p in model.parameters()],
+                [m.tobytes() for m in run.momentum],
+                [(s.epoch, {n: s.unpacked(n).tobytes() for n in s.layers})
+                 for s in run.snapshots])
+
+    @staticmethod
+    def rebuilt(cfg, model, run):
+        other = small_model(seed=cfg.seed + 1)
+        for dst, src in zip(other.parameters(), model.parameters()):
+            dst.data[...] = src.data
+        copy = fresh_run(cfg, other)
+        copy.momentum = [m.copy() for m in run.momentum]
+        copy.metrics.records = [replace(r) for r in run.metrics.records]
+        copy.snapshots = [MaskSnapshot(s.epoch, {n: s.unpacked(n) for n in s.layers})
+                          for s in run.snapshots]
+        copy.epoch = run.epoch
+        return other, copy
+
+    @pytest.mark.parametrize("k", [0, EPOCHS // 2, EPOCHS - 1])
+    @pytest.mark.parametrize("final_sparsity", [0.6, 0.97], ids=["theta1", "theta0.5"])
+    def test_rebuilt_run_finishes_as_the_uninterrupted_one(self, k, final_sparsity):
+        data = small_dataset()
+        cfg = small_config(epochs=self.EPOCHS, final_sparsity=final_sparsity, seed=3)
+        model = small_model(seed=cfg.seed)
+        want = self.finish(cfg, model, fresh_run(cfg, model), data)
+
+        model = small_model(seed=cfg.seed)
+        run = fresh_run(cfg, model)
+        while run.epoch < k:
+            run_epoch(cfg, model, run, data)
+        assert self.finish(cfg, *self.rebuilt(cfg, model, run), data) == want
+
+    def test_train_is_the_epoch_loop(self):
+        # train starts its run as fresh_run does and returns it without momentum
+        data = small_dataset()
+        cfg = small_config(epochs=self.EPOCHS, final_sparsity=0.6, seed=3)
+        model = small_model(seed=cfg.seed)
+        run = fresh_run(cfg, model)
+        _, params, _, _ = self.finish(cfg, model, run, data)
+        trained = small_model(seed=cfg.seed)
+        result = train(cfg, trained, data)
+        assert [p.data.tobytes() for p in trained.parameters()] == params
+        assert [replace(r, mask_pearson_vs_final=1.0) for r in result.metrics.records] == \
+            run.metrics.records
+        assert result.epoch == cfg.epochs and result.momentum == []
 
 
 @pytest.fixture
@@ -349,8 +420,8 @@ class TestStoredPixels:
         assert got_weights == want_weights
         assert len(got.snapshots) == len(want.snapshots)
         for a, b in zip(got.snapshots, want.snapshots):
-            assert {k: v.tobytes() for k, v in a.masks.items()} == \
-                {k: v.tobytes() for k, v in b.masks.items()}
+            assert {k: a.unpacked(k).tobytes() for k in a.layers} == \
+                {k: b.unpacked(k).tobytes() for k in b.layers}
 
     def test_evaluate_top1_matches_decoded_split(self, idx_split):
         stored, decoded = idx_split
@@ -393,8 +464,9 @@ class TestNothingLeftOver:
         monkeypatch.setattr(trainer, "feather_forward", watched_forward)
         monkeypatch.setattr(trainer, "stability_curve", watched_curve)
         train(small_config(epochs=2, final_sparsity=0.6), small_model(), small_dataset())
-        # 2 epochs of 6 steps (a tape and 2 layers' weights each) and an eval
-        assert len(made) == 2 * (6 * (1 + 2) + 2)
+        # 2 epochs of 6 steps (a tape and 2 layers' weights each) and an eval,
+        # then the final score's 2 layers' weights, made after the curve
+        assert len(made) == 2 * (6 * (1 + 2) + 2) + 2
         assert alive_at_curve == []
 
     def test_grads_kept_only_on_parameters_and_thresholded_weights(self, monkeypatch):
