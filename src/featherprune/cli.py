@@ -193,6 +193,11 @@ def _run_cell(payload) -> tuple:
         return (f"{type(exc).__name__}: {exc}", math.nan)
 
 
+def _repeated(items: list):
+    """The first item that already appeared earlier in ``items``, or None."""
+    return next((item for i, item in enumerate(items) if item in items[:i]), None)
+
+
 def cmd_sweep(args) -> int:
     file_text = _read_config(args.config) if args.config else None
     base_overrides = list(args.set or [])
@@ -204,9 +209,13 @@ def cmd_sweep(args) -> int:
         values = [v.strip() for v in raw.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"axis {key!r} lists no values")
+        if (repeat := _repeated(values)) is not None:
+            raise ConfigError(f"axis {key!r} lists {repeat!r} more than once")
         axes.append((key.strip(), values))
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
+    if (repeat := _repeated([key for key, _ in axes])) is not None:
+        raise ConfigError(f"--axis {repeat!r} is given more than once")
     seeds = []
     for token in filter(None, (s.strip() for s in args.seeds.split(","))):
         try:
@@ -215,6 +224,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--seeds token {token!r} is not an integer") from None
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if (repeat := _repeated(seeds)) is not None:
+        raise ConfigError(f"--seeds lists seed {repeat} more than once")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 

@@ -14,9 +14,9 @@ matters at extreme sparsity; the automatic policy picks 1.0 for moderate final
 sparsity targets and drops to 0.5 for targets at or above 95%.
 
 ``feather_forward`` records the whole block as one op on the active tape, so
-``Tape.backward`` fills the dense weights' ``grad`` and keeps the gradient
-w.r.t. the sparse weights on the op's output; with no tape it returns a
-constant, which is what evaluation uses.
+``Tape.backward`` fills the dense weights' ``grad`` and, unless asked not to,
+keeps the gradient w.r.t. the sparse weights on the op's output; with no tape
+it returns a constant, which is what evaluation uses.
 """
 
 from __future__ import annotations
@@ -107,15 +107,17 @@ def _scale_pruned(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarra
     return np.multiply(grad, scale, out=scale)
 
 
-def feather_forward(state: PruneLayerState) -> Tensor:
+def feather_forward(state: PruneLayerState, keep_grad: bool = True) -> Tensor:
     """Threshold the dense weights for this layer's forward computation.
 
     Refreshes ``state.mask`` from the current weights and threshold and returns
     the sparse weights; the dense weights are untouched. Under a tape, if the
     dense weights require a gradient, the output's recorded backward passes its
     gradient to them with this pass's pruned entries scaled by ``state.theta``.
-    That backward also keeps the incoming gradient as the output's ``grad``.
-    Otherwise the output is a constant.
+    With ``keep_grad`` that backward also keeps the incoming gradient as the
+    output's ``grad``; without it the output keeps none, and at theta = 1 the
+    incoming gradient goes on to the dense weights uncopied. Otherwise the
+    output is a constant.
     """
     if state.threshold is None:
         raise ValueError(f"layer {state.name!r} has no threshold assigned")
@@ -128,10 +130,11 @@ def feather_forward(state: PruneLayerState) -> Tensor:
     weights, theta = state.weights, state.theta
 
     def backward_fn(g: np.ndarray):
-        # The tape keeps no op output's gradient; this one is kept on purpose,
+        # The tape keeps no op output's gradient; this one is kept on request,
         # as the gradient w.r.t. the sparse weights. At theta = 1 the array
         # itself goes on to the dense weights, so the output keeps a copy.
-        out.accumulate_grad(g, copy=theta == 1.0)
+        if keep_grad:
+            out.accumulate_grad(g, copy=theta == 1.0)
         return [(weights, _scale_pruned(g, mask, theta))]
 
     tape.record(out, backward_fn)

@@ -21,7 +21,10 @@ Gradients are recorded on an explicit :class:`Tape`: each operation executed
 while a tape is active appends one record, and ``Tape.backward(loss)`` replays
 the records once, in reverse order, accumulating gradients additively into
 every ``requires_grad`` leaf reachable from the loss. Op outputs pass their
-gradient on without keeping it.
+gradient on without keeping it. A tape replays only once, so a recorded
+backward may drop what it has read as soon as it is done with it, as
+``conv2d``'s does with its columns; gradients from separate tapes still add up
+in each leaf's ``grad``.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ class Tape:
 
     Operations append records in execution order, so inputs always precede the
     records that consume them; ``backward`` walks the records exactly once in
-    reverse.
+    reverse, and may run only once per tape.
     """
 
     _stack: list["Tape"] = []
@@ -111,6 +114,7 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[Tensor, BackwardFn]] = []
         self._outputs: set[int] = set()
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -135,13 +139,20 @@ class Tape:
         with ``requires_grad``. Op outputs pass their gradient on to their
         inputs without keeping it, so their ``grad`` stays None; a recorded
         backward that wants its output's gradient kept sets it itself, as
-        ``feather_forward`` does. Gradients accumulate additively: calling
-        backward twice doubles them.
+        ``feather_forward`` does. Gradients accumulate additively into any
+        ``grad`` already set, so the backwards of separate tapes add up.
+
+        A tape replays once: a recorded backward may drop the arrays it has
+        read, so a second call raises ``ValueError`` before it touches any
+        gradient.
         """
+        if self._replayed:
+            raise ValueError("this tape has already run its backward; record a new tape")
         if loss.data.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         if id(loss) not in self._outputs:
             raise ValueError("loss was not produced under this tape")
+        self._replayed = True
 
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float32)}
         holders: dict[int, Tensor] = {id(loss): loss}
@@ -418,8 +429,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
 
     Each input-gradient element sums its taps in row-major (kh, kw) order,
     starting from zero. The backward forms the kernel and bias gradients
-    first, so that the input gradient's column buffer is the only large
-    temporary alive while it is summed.
+    first and then drops the columns, which nothing reads after the kernel
+    gradient (a tape replays once), so the column gradient of the same shape
+    can take their memory and is the only large temporary alive while the
+    input gradient is summed.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -464,12 +477,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
         k_mat = None
 
     def backward_fn(g: np.ndarray, out: Optional[np.ndarray] = None):
+        nonlocal cols
         if out is not None:
             g = g * (out > 0)
         db = g.sum(axis=(0, 2, 3)) if need_bias else None
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
         del g
         dk = _one_thread_matmul(g_mat.T, cols).reshape(f, c, kh, kw) if need_k else None
+        cols = None
         dx = None
         if need_x:
             row_taps = [_tap_slices(u, h, h_out, stride, padding) for u in range(kh)]

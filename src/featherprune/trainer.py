@@ -217,23 +217,20 @@ def run_epoch(config: TrainConfig, model: Model, run: TrainResult, dataset) -> N
         lr_t = _step_lr(config, n_train, epoch, batch_index)
         try:
             with Tape() as tape:
-                overrides = {state.name: feather_forward(state) for state in states}
+                overrides = {state.name: feather_forward(state, keep_grad=False)
+                             for state in states}
                 logits = model.forward(Tensor(decode_features(dataset.train_x[idx])), overrides)
                 loss = softmax_cross_entropy(logits, dataset.train_y[idx],
                                              config.label_smoothing)
                 tape.backward(loss)
         except NonFiniteError as exc:
             raise TrainingDivergedError(epoch, batch_index, _layer_norms(model)) from exc
-        # the thresholded weights keep their gradient for callers of
-        # feather_forward; this loop never reads it
-        for sparse in overrides.values():
-            sparse.grad = None
         for param, buffer in zip(params, run.momentum, strict=True):
             sgd_step(param.data, param.grad, buffer, lr_t, config.momentum, config.weight_decay)
             param.grad = None
         loss_sum += loss.item() * len(idx)
-    # Which step arrays live when: the thresholded weights' gradients go
-    # right after the backward, each parameter's once SGD has read it.
+    # Which step arrays live when: the thresholded weights keep no gradient,
+    # and each parameter's goes once SGD has read it.
     # The step's graph (its tape with the arrays each layer's backward
     # reads, and the thresholded weights) lives until the next step
     # replaces it. Freeing it sooner was measured and saves nothing: a

@@ -676,6 +676,24 @@ class TestSweep:
         assert "config error: --seeds token 'x' is not an integer" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("axes,seeds,message", [
+        (["prune.final_sparsity=0.5"], "3,03", "--seeds lists seed 3 more than once"),
+        (["prune.final_sparsity=0.5, 0.7,0.5"], "0",
+         "axis 'prune.final_sparsity' lists '0.5' more than once"),
+        (["prune.final_sparsity=0.5", "prune.final_sparsity=0.7"], "0",
+         "--axis 'prune.final_sparsity' is given more than once"),
+    ], ids=["seed", "axis value", "axis key"])
+    def test_repeated_seed_or_axis_value_is_config_error(self, tmp_path, capsys, axes, seeds,
+                                                         message):
+        # a repeated seed or value runs one cell twice into one directory; a
+        # repeated key runs only its last value under a row naming both
+        axis_args = [arg for axis in axes for arg in ("--axis", axis)]
+        code = main(["sweep", "--out", str(tmp_path / "s"), *BASE, *axis_args,
+                     "--seeds", seeds])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
         code = main(["sweep", "--out", str(tmp_path / "s"), *BASE,

@@ -1,6 +1,7 @@
 """Tensor core: autodiff correctness against finite differences, tape mechanics."""
 
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -80,15 +81,29 @@ class TestTapeMechanics:
             with pytest.raises(ValueError, match="not produced under this tape"):
                 other.backward(loss)
 
-    def test_double_backward_accumulates(self):
-        a = Tensor(np.ones((2,)) .reshape(1, 2), requires_grad=True)
+    def test_second_backward_on_a_tape_raises(self):
+        """A recorded backward may drop what it has read, so a tape replays
+        once; the refused call leaves every gradient as it was."""
+        a = Tensor(np.ones((1, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
         with Tape() as tape:
             loss = sum_all(matmul(a, w))
             tape.backward(loss)
-            first = w.grad.copy()
-            tape.backward(loss)
-        np.testing.assert_array_equal(w.grad, 2 * first)
+            first_a, first_w = a.grad.copy(), w.grad.copy()
+            with pytest.raises(ValueError, match="already run its backward"):
+                tape.backward(loss)
+        assert a.grad.tobytes() == first_a.tobytes()
+        assert w.grad.tobytes() == first_w.tobytes()
+
+    def test_backwards_of_two_tapes_accumulate(self):
+        a = Tensor(np.ones((1, 2)), requires_grad=True)
+        w = Tensor(np.ones((2, 1)), requires_grad=True)
+        grads = []
+        for _ in range(2):
+            with Tape() as tape:
+                tape.backward(sum_all(matmul(a, w)))
+            grads.append(w.grad.copy())
+        np.testing.assert_array_equal(grads[1], 2 * grads[0])
 
     def test_intermediate_requires_grad_tensor_keeps_no_grad(self):
         """An op output passes its gradient on to its inputs but keeps none;
@@ -287,17 +302,20 @@ class TestInputWithoutGradient:
             labels = np.arange(x_data.shape[0]) % logits.shape[1]
             loss = softmax_cross_entropy(logits, labels)
             tape.backward(loss)
-        return x, w, b, tape
+        return x, w, b
 
     def check(self, op, x_data, w_data, b_data):
-        x, w, b, tape = self.run(op, x_data, w_data, b_data, x_grad=False)
-        x_ref, w_ref, b_ref, _ = self.run(op, x_data, w_data, b_data, x_grad=True)
+        x, w, b = self.run(op, x_data, w_data, b_data, x_grad=False)
+        x_ref, w_ref, b_ref = self.run(op, x_data, w_data, b_data, x_grad=True)
         assert x.grad is None
         assert x_ref.grad is not None
         assert w.grad.tobytes() == w_ref.grad.tobytes()
         assert b.grad.tobytes() == b_ref.grad.tobytes()
-        # the op's backward hands out the weight gradient only
-        first_output, first_backward = tape._records[0]
+        # the op's backward hands out the weight gradient only; it is called
+        # on a tape that has not replayed, since a replay may drop its arrays
+        with Tape() as fresh:
+            op(Tensor(x_data.copy()), w)
+        first_output, first_backward = fresh._records[0]
         assert [t for t, _ in first_backward(np.ones_like(first_output.data))] == [w]
 
     def test_matmul(self):
@@ -460,6 +478,32 @@ class TestIm2colIndex:
         index = sum(a.nbytes for a in _im2col_index(c, size, size, 3, 3, 2, 1))
         columns = n * h_out * h_out * c * 9 * 4
         assert peak <= columns + 2 * out.data.nbytes + index + 64 * 1024
+
+    def test_backward_never_holds_the_columns_and_their_gradient(self):
+        """At conv2's shapes the recorded backward lets the columns go once
+        the kernel gradient is formed, so the column gradient, of the same
+        size, takes their place: above what the record held, the backward's
+        heap grows by less than one column buffer (by 1.5 times it when both
+        were held)."""
+        c, size, f = CNN_CONV_SHAPES[1]
+        n, h_out = 128, size // 2
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.random((n, c, size, size)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((f, c, 3, 3)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(f), requires_grad=True)
+        # traced from before the forward, so that freeing the columns counts
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = conv2d(x, kernel, 2, 1, bias=bias, relu=True)
+            (_, backward_fn), = tape._records
+            g = np.ones_like(out.data)
+            grads, peak = peak_bytes(backward_fn, g)
+        finally:
+            tracemalloc.stop()
+        assert [t for t, _ in grads] == [x, kernel, bias]
+        columns = n * h_out * h_out * c * 9 * 4
+        assert peak < columns, f"peak {peak / columns:.2f}x the columns"
 
 
 def _openblas_mapped() -> bool:

@@ -451,8 +451,8 @@ class TestNothingLeftOver:
                 super().__init__()
                 made.append(weakref.ref(self))
 
-        def watched_forward(state):  # Tensor has no weakref slot; its array does
-            out = real_forward(state)
+        def watched_forward(state, **kwargs):  # Tensor has no weakref slot; its array does
+            out = real_forward(state, **kwargs)
             made.append(weakref.ref(out.data))
             return out
 
@@ -483,9 +483,41 @@ class TestNothingLeftOver:
         train(cfg, model, small_dataset())
         steps = cfg.epochs * -(-192 // cfg.batch_size)  # 240 samples, 192 train
         params = {id(p) for p in model.parameters()}
-        # per step: 3 weights, 3 biases and the 3 thresholded weight tensors
-        assert len(calls) == steps * 9
+        # per step: 3 weights and 3 biases; the thresholded weights keep none
+        assert len(calls) == steps * 6
         assert sum(id(t) in params for t in calls) == steps * 6
+
+    def test_theta_one_step_keeps_and_copies_no_sparse_gradient(self, monkeypatch):
+        """run_epoch asks feather_forward to keep no gradient on the
+        thresholded weights, so at theta 1 the incoming gradient goes on to
+        the dense weights as it is: no tensor takes a copy of its gradient."""
+        from featherprune import trainer
+
+        real_forward, accumulate = trainer.feather_forward, Tensor.accumulate_grad
+        sparse, copies = [], []
+
+        def watched_forward(state, **kwargs):
+            out = real_forward(state, **kwargs)
+            sparse.append(out)
+            return out
+
+        def counted(self, g, copy=True):
+            if copy and self.grad is None:
+                copies.append(g.shape)
+            accumulate(self, g, copy)
+
+        monkeypatch.setattr(trainer, "feather_forward", watched_forward)
+        monkeypatch.setattr(Tensor, "accumulate_grad", counted)
+        data = small_dataset()
+        cfg = replace(small_config(epochs=1, final_sparsity=0.6),
+                      batch_size=len(data.train_x))  # one step
+        model = small_model()
+        run = fresh_run(cfg, model)
+        assert {s.theta for s in run.states} == {1.0}
+        run_epoch(cfg, model, run, data)
+        assert len(sparse) == 2 * len(run.states)  # the step's, then the eval's
+        assert all(t.grad is None for t in sparse)
+        assert copies == []
 
     def test_mask_history_is_one_bit_per_weight(self):
         import tracemalloc
