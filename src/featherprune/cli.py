@@ -206,12 +206,17 @@ def cmd_sweep(args) -> int:
         if "=" not in item:
             raise ConfigError(f"axis must look like key=v1,v2,..., got {item!r}")
         key, _, raw = item.partition("=")
+        key = key.strip()
         values = [v.strip() for v in raw.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"axis {key!r} lists no values")
-        if (repeat := _repeated(values)) is not None:
-            raise ConfigError(f"axis {key!r} lists {repeat!r} more than once")
-        axes.append((key.strip(), values))
+        # compared as parsed, so "0.5" and "0.50" are one value
+        resolved = [config_to_text(resolve_config(overrides=[f"{key}={v}"])) for v in values]
+        if (repeat := _repeated(resolved)) is not None:
+            first, again = [v for v, text in zip(values, resolved) if text == repeat][:2]
+            also = f" (also as {again!r})" if again != first else ""
+            raise ConfigError(f"axis {key!r} lists {first!r} more than once{also}")
+        axes.append((key, values))
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
     if (repeat := _repeated([key for key, _ in axes])) is not None:

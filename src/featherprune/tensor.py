@@ -221,12 +221,37 @@ def _check_bias(b: Tensor, width: int, what: str) -> None:
         raise ValueError(f"bias length {b.shape[0]} does not match {what} {width}")
 
 
+# multiply-adds (m·k·n) below which a matmul op runs its GEMMs at one thread
+_ONE_THREAD_MADDS = 1 << 21
+
+
 def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """Matrix product of 2-d tensors; inner dimensions must agree.
 
     ``bias`` (one value per output column) is added into the product and
     ``relu`` clamps the sum at zero, in this one op: the output and every
     gradient are bitwise those of ``relu(add_bias(matmul(a, b), bias))``.
+
+    The forward GEMM and both backward GEMMs share one multiply-add count,
+    m·k·n. Below ``_ONE_THREAD_MADDS`` (2^21) all three run at one OpenBLAS
+    thread and then set the caller's count again (``_one_thread_matmul``), so
+    their bits do not depend on that count; above it they run at the
+    caller's count. Per GEMM at batch 128, one thread against two (µs, best
+    of 7x200, 2-core AVX-512 box, scipy-openblas 0.3.31):
+
+    ================================  ==============  ==============
+    GEMM (multiply-adds)              one thread      two threads
+    ================================  ==============  ==============
+    CNN fc0 fwd / dX / dW (1.0M)      58 / 38 / 67    39 / 80 / 35
+    MLP fc1 fwd / dW / dX (3.84M)     82 / 74 / 95    69 / 72 / 83
+    MLP fc0 fwd / dW (30.1M)          578 / 526       484 / 289
+    MLP fc2 (128k)                    5.7             5.7
+    ================================  ==============  ==============
+
+    One thread costs the CNN's fc0 about 9 µs a step, but a single two-thread
+    GEMM wakes OpenBLAS's second thread, which then spins a core for the rest
+    of a CNN run and holds about 0.5 MB of buffers. The MLP's fc0 and fc1 are
+    slower at one thread, so they stay above the cutoff.
     """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
@@ -234,7 +259,9 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None, relu: bool = 
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     if bias is not None:
         _check_bias(bias, b.shape[1], "features")
-    out = a.data @ b.data
+    small = a.shape[0] * a.shape[1] * b.shape[1] < _ONE_THREAD_MADDS
+    gemm = _one_thread_matmul if small else np.matmul
+    out = gemm(a.data, b.data)
     if bias is not None:
         out += bias.data
     inputs = (a, b) if bias is None else (a, b, bias)
@@ -251,9 +278,9 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None, relu: bool = 
             g = g * (out > 0)
         grads = []
         if need_a:
-            grads.append(g @ b_data.T)
+            grads.append(gemm(g, b_data.T))
         if need_b:
-            grads.append(a_data.T @ g)
+            grads.append(gemm(a_data.T, g))
         if need_bias:
             grads.append(g.sum(axis=0))
         return list(zip(targets, grads))

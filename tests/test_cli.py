@@ -680,16 +680,33 @@ class TestSweep:
         (["prune.final_sparsity=0.5"], "3,03", "--seeds lists seed 3 more than once"),
         (["prune.final_sparsity=0.5, 0.7,0.5"], "0",
          "axis 'prune.final_sparsity' lists '0.5' more than once"),
+        (["prune.final_sparsity=0.5,0.50"], "0",
+         "axis 'prune.final_sparsity' lists '0.5' more than once (also as '0.50')"),
+        (["train.epochs=2,02"], "0",
+         "axis 'train.epochs' lists '2' more than once (also as '02')"),
         (["prune.final_sparsity=0.5", "prune.final_sparsity=0.7"], "0",
          "--axis 'prune.final_sparsity' is given more than once"),
-    ], ids=["seed", "axis value", "axis key"])
+    ], ids=["seed", "axis value", "axis value spelled twice", "axis int spelled twice",
+            "axis key"])
     def test_repeated_seed_or_axis_value_is_config_error(self, tmp_path, capsys, axes, seeds,
                                                          message):
-        # a repeated seed or value runs one cell twice into one directory; a
-        # repeated key runs only its last value under a row naming both
+        # a repeated seed or value runs one cell twice into one directory (or,
+        # spelled two ways, into two directories); a repeated key runs only
+        # its last value under a row naming both
         axis_args = [arg for axis in axes for arg in ("--axis", axis)]
         code = main(["sweep", "--out", str(tmp_path / "s"), *BASE, *axis_args,
                      "--seeds", seeds])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("axis,message", [
+        ("train.epoch=2,3", "unknown config key 'train.epoch'"),
+        ("prune.operator=soft,bogus", "bad value for prune.operator: 'bogus'"),
+    ])
+    def test_axis_value_the_parser_refuses_is_config_error(self, tmp_path, capsys, axis,
+                                                           message):
+        code = main(["sweep", "--out", str(tmp_path / "s"), *BASE, "--axis", axis])
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()

@@ -1,17 +1,24 @@
 """Tensor core: autodiff correctness against finite differences, tape mechanics."""
 
 import os
+import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import featherprune
 import oracles
+from featherprune import tensor
 from featherprune.errors import NonFiniteError
 from featherprune.tensor import (
+    _ONE_THREAD_MADDS,
     Tape,
     Tensor,
     _emit,
@@ -580,13 +587,94 @@ class TestConv2dBlasThreads:
         assert get() == 2
 
 
+# (batch, in_features, out_features) of the CNN's dense head over conv2's
+# 16x7x7 features, and of the 784-300-100-10 MLP's layers
+CNN_FC0_SHAPE = (128, 784, 10)
+MLP_LAYER_SHAPES = [(128, 784, 300), (128, 300, 100), (128, 100, 10)]
+
+
+class TestMatmulBlasThreads:
+    """A matmul op below ``_ONE_THREAD_MADDS`` multiply-adds runs its three
+    GEMMs at one OpenBLAS thread, as conv2d does, so its bits do not depend
+    on the caller's count; larger ones run at the caller's count."""
+
+    @pytest.mark.parametrize("shape,pinned", [
+        (CNN_FC0_SHAPE, 3), (MLP_LAYER_SHAPES[0], 0), (MLP_LAYER_SHAPES[1], 0),
+        (MLP_LAYER_SHAPES[2], 3)], ids=["cnn-fc0", "mlp-fc0", "mlp-fc1", "mlp-fc2"])
+    def test_only_small_ops_run_at_one_thread(self, monkeypatch, shape, pinned):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a.shape, b.shape))
+            return a @ b
+
+        monkeypatch.setattr(tensor, "_one_thread_matmul", counted)
+        n, k, m = shape
+        x = Tensor(np.ones((n, k)), requires_grad=True)
+        w = Tensor(np.ones((k, m)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(matmul(x, w)))
+        assert len(calls) == pinned
+
+    @pytest.mark.parametrize("n", [48, 64, 128])
+    def test_bits_do_not_depend_on_the_callers_count(self, openblas, n):
+        get, set_ = openblas
+        _, k, m = CNN_FC0_SHAPE
+        assert n * k * m < _ONE_THREAD_MADDS
+        rng = np.random.default_rng(n)
+        x_data = rng.standard_normal((n, k)).astype(np.float32)
+        w_data = rng.standard_normal((k, m)).astype(np.float32)
+        b_data = rng.standard_normal(m).astype(np.float32)
+        g = rng.standard_normal((n, m)).astype(np.float32)
+
+        def run(threads):
+            set_(threads)
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+            with Tape() as tape:
+                out = matmul(x, w, bias=b, relu=True)
+                assert get() == threads
+            (_, dx), (_, dw), (_, db) = tape._records[-1][1](g)
+            assert get() == threads
+            return [a.tobytes() for a in (out.data, dx, dw, db)]
+
+        assert run(1) == run(2)
+
+
+def test_cnn_train_bits_do_not_depend_on_the_thread_count(openblas, tmp_path):
+    # batch 128 over 28x28 images: conv2 gives fc0 784 features, the shape at
+    # which a two-thread fc0 forward GEMM gives other bytes than one thread
+    rng = np.random.default_rng(24)
+    count = 512
+    images = rng.integers(0, 256, (count, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, count, dtype=np.uint8)
+    (tmp_path / "images.idx").write_bytes(struct.pack(">IIII", 0x803, count, 28, 28)
+                                          + images.tobytes())
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x801, count) + labels.tobytes())
+    config = tmp_path / "config.txt"
+    config.write_text("\n".join([
+        "model.arch=cnn", "dataset.kind=idx", f"dataset.images={tmp_path / 'images.idx'}",
+        f"dataset.labels={tmp_path / 'labels.idx'}", "train.epochs=2",
+        "train.batch_size=128", "train.lr=0.05", "prune.final_sparsity=0.9",
+        "prune.backbone=uniform"]) + "\n", encoding="utf-8")
+    src = str(Path(featherprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "featherprune.cli", "train", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("metrics.csv", "masks.bin", "final.fthr")])
+    assert artifacts[0] == artifacts[1]
+
+
 def pull(out: Tensor, g: np.ndarray) -> Tensor:
     """A scalar whose recorded backward hands ``g`` to ``out`` as it is."""
     return _emit(np.float32(0.0), (out,), lambda _: [(out, g)], "pull")
-
-
-# (batch, in_features, out_features) of the 784-300-100-10 MLP's layers
-MLP_LAYER_SHAPES = [(128, 784, 300), (128, 300, 100), (128, 100, 10)]
 
 
 class TestFusedLayerOp:
