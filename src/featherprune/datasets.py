@@ -168,8 +168,11 @@ def synth_blobs(desc: DatasetDescriptor) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"synth_blobs needs a blobs descriptor, got kind {desc.kind!r}")
     rng = np.random.default_rng(mix_seed(desc.seed, DATA_STREAM))
     centers = rng.standard_normal((desc.classes, desc.dims))
-    dist = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-    min_dist = dist[~np.eye(desc.classes, dtype=bool)].min()
+    # Each center against the ones after it, a row at a time, so the working
+    # set is (classes, dims) rather than every pair at once; a difference and
+    # its negation square to the same value, so these are the pairwise bytes.
+    min_dist = min(np.sqrt(((centers[i + 1 :] - centers[i]) ** 2).sum(axis=1)).min()
+                   for i in range(desc.classes - 1))
     if min_dist == 0.0:
         raise ValueError("degenerate blob centers: two classes coincide")
     centers /= min_dist

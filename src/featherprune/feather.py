@@ -42,6 +42,11 @@ AUTO_STEP = "auto_step"
 AUTO_SPARSITY_CUTOFF = 0.95
 AUTO_LOW_THETA = 0.5
 
+# Elements per span of a step's in-place passes over a weight-sized array (the
+# pruned-gradient scale here, the update in ``trainer.sgd_step``): each holds
+# one span of float32 scratch (64 KiB) in place of a weight-sized temporary.
+SPAN = 1 << 14
+
 
 @dataclass
 class PruneLayerState:
@@ -107,6 +112,23 @@ def _scale_pruned(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarra
     return np.multiply(grad, scale, out=scale)
 
 
+def _scale_pruned_in_place(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
+    """``_scale_pruned``'s bytes written into ``grad`` itself, ``SPAN`` elements
+    at a time, and ``grad`` returned. ``grad`` must be a C-contiguous array
+    that nothing else reads."""
+    if theta == 1.0:
+        return grad
+    flat, bits = grad.reshape(-1), mask.reshape(-1)
+    scratch = np.empty(min(flat.size, SPAN), dtype=np.float32)
+    for start in range(0, flat.size, SPAN):
+        span = flat[start : start + SPAN]
+        scale = scratch[: span.size]
+        np.copyto(scale, bits[start : start + SPAN])
+        np.maximum(scale, np.float32(theta), out=scale)
+        np.multiply(span, scale, out=span)
+    return grad
+
+
 def feather_forward(state: PruneLayerState, keep_grad: bool = True) -> Tensor:
     """Threshold the dense weights for this layer's forward computation.
 
@@ -115,9 +137,10 @@ def feather_forward(state: PruneLayerState, keep_grad: bool = True) -> Tensor:
     dense weights require a gradient, the output's recorded backward passes its
     gradient to them with this pass's pruned entries scaled by ``state.theta``.
     With ``keep_grad`` that backward also keeps the incoming gradient as the
-    output's ``grad``; without it the output keeps none, and at theta = 1 the
-    incoming gradient goes on to the dense weights uncopied. Otherwise the
-    output is a constant.
+    output's ``grad``; without it the output keeps none, and the incoming
+    gradient, which the tape hands over held by nothing else, is scaled in
+    place and goes on to the dense weights uncopied. Otherwise the output is a
+    constant.
     """
     if state.threshold is None:
         raise ValueError(f"layer {state.name!r} has no threshold assigned")
@@ -135,7 +158,8 @@ def feather_forward(state: PruneLayerState, keep_grad: bool = True) -> Tensor:
         # itself goes on to the dense weights, so the output keeps a copy.
         if keep_grad:
             out.accumulate_grad(g, copy=theta == 1.0)
-        return [(weights, _scale_pruned(g, mask, theta))]
+            return [(weights, _scale_pruned(g, mask, theta))]
+        return [(weights, _scale_pruned_in_place(g, mask, theta))]
 
     tape.record(out, backward_fn)
     return out

@@ -157,6 +157,10 @@ class Tape:
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float32)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for output, backward_fn in reversed(self._records):
+            # The gradient a record is handed is held by nothing else: a fresh
+            # GEMM result or sum, or an array one op passed on whole or as a
+            # view (no op passes one array to two inputs). So a recorded
+            # backward may write into it, as feather_forward's does.
             g = flowing.pop(id(output), None)
             holders.pop(id(output), None)
             if g is None:

@@ -34,7 +34,7 @@ from .backbones import (
 )
 from .datasets import decode_features
 from .errors import NonFiniteError, TrainingDivergedError
-from .feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
+from .feather import SPAN, GradScalePolicy, PruneLayerState, feather_forward, select_theta
 from .models import Model
 from .seeding import epoch_permutation
 from .tensor import Tape, Tensor, softmax_cross_entropy
@@ -167,13 +167,24 @@ def sgd_step(weights: np.ndarray, grad: np.ndarray, momentum_buffer: np.ndarray,
             f"shape mismatch: weights {weights.shape}, grad {grad.shape}, "
             f"buffer {momentum_buffer.shape}"
         )
-    if weight_decay != 0.0:
-        g = grad + weight_decay * weights
-    else:
-        g = grad
-    momentum_buffer *= np.float32(momentum)
-    momentum_buffer += g
-    weights -= np.float32(lr) * momentum_buffer
+    # A span of leading-axis rows at a time (a view for any layout), with
+    # ``lr * buffer`` and ``grad + weight_decay * weights`` formed in one
+    # span-sized scratch array: each element sees the whole-array expressions.
+    w, g, buf = np.atleast_1d(weights, grad, momentum_buffer)
+    rows = max(1, SPAN * len(w) // max(w.size, 1))
+    scratch = np.empty_like(buf[:rows])
+    for start in range(0, len(w), rows):
+        w_span, b_span = w[start : start + rows], buf[start : start + rows]
+        step = scratch[: len(w_span)]
+        b_span *= np.float32(momentum)
+        if weight_decay != 0.0:
+            np.multiply(weight_decay, w_span, out=step)
+            step += g[start : start + rows]
+            b_span += step
+        else:
+            b_span += g[start : start + rows]
+        np.multiply(np.float32(lr), b_span, out=step)
+        w_span -= step
 
 
 def evaluate_top1(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int,
@@ -229,20 +240,11 @@ def run_epoch(config: TrainConfig, model: Model, run: TrainResult, dataset) -> N
             sgd_step(param.data, param.grad, buffer, lr_t, config.momentum, config.weight_decay)
             param.grad = None
         loss_sum += loss.item() * len(idx)
-    # Which step arrays live when: the thresholded weights keep no gradient,
-    # and each parameter's goes once SGD has read it.
-    # The step's graph (its tape with the arrays each layer's backward
-    # reads, and the thresholded weights) lives until the next step
-    # replaces it. Freeing it sooner was measured and saves nothing: a
-    # variant that dropped tape, overrides and logits right after the
-    # backward raised the CLI's peak RSS on perfbench's mlp_extreme
-    # (seed 1) in all six pairs run: by 1.07 MB (61.88 to 62.95 MB) in
-    # three, and by 0.05 MB in three more once the records held no ReLU
-    # masks. The next step allocates arrays of the same sizes again, so an
-    # early free leaves no lasting room, only a different heap layout. The
-    # last graph goes here, before the eval, whose thresholded weights in
-    # turn go when it returns.
-    del tape, overrides, logits, loss
+        # The thresholded weights keep no gradient, and each parameter's goes
+        # once SGD has read it. The step's graph (its tape with the arrays
+        # each layer's backward reads, and the thresholded weights) goes here,
+        # so the next step's threshold pass finds none of it alive.
+        del tape, overrides, logits, loss
 
     val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
                              {state.name: feather_forward(state) for state in states})

@@ -250,6 +250,17 @@ def synth_blobs_one_shot(rng_seed: int, classes: int, dims: int, samples: int,
     return points.astype(np.float32), labels
 
 
+def sgd_step_whole_array(weights: np.ndarray, grad: np.ndarray, momentum_buffer: np.ndarray,
+                         lr: float, momentum: float, weight_decay: float) -> None:
+    """``sgd_step`` before it ran in spans: each expression over the whole
+    array, with ``grad + weight_decay * weights`` and ``lr * buffer`` as
+    weight-sized temporaries. Updates ``weights`` and ``momentum_buffer``."""
+    g = grad + weight_decay * weights if weight_decay != 0.0 else grad
+    momentum_buffer *= np.float32(momentum)
+    momentum_buffer += g
+    weights -= np.float32(lr) * momentum_buffer
+
+
 def two_phase_ste_step(model, thresholds: dict, op, theta: float, x: np.ndarray,
                        labels: np.ndarray):
     """The sparse training step before the straight-through scaling became a

@@ -322,6 +322,28 @@ class TestSynthBlobs:
         # the noise block and its gathered centers, plus labels and centers
         assert peak <= x.nbytes + 2 * block_bytes + y.nbytes + 256 * 1024
 
+    # at seed 11 the closest of 3 centers are the last two
+    @pytest.mark.parametrize("classes,dims", [(3, 8), (64, 100), (100, 16), (40, 784)])
+    def test_center_distances_match_one_shot_generator(self, classes, dims):
+        # the closest pair of centers, found a row at a time, against every pair at once
+        x, y = synth_blobs(blob_desc(samples=2 * classes, dims=dims, classes=classes,
+                                     noise=0.3, seed=11))
+        want_x, want_y = synth_blobs_one_shot(mix_seed(11, DATA_STREAM), classes, dims,
+                                              2 * classes, 0.3)
+        assert x.tobytes() == want_x.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+
+    def test_center_distances_need_no_pairwise_array(self):
+        # every pair of 100 centers at once would be 100*100*784 float64s (62.7 MB)
+        desc = blob_desc(samples=100, dims=784, classes=100, noise=0.3, seed=1)
+        synth_blobs(desc)
+        (x, y), peak = peak_bytes(synth_blobs, desc)
+        centers_bytes = 8 * desc.classes * desc.dims
+        # the centers and two row-sized temporaries, the noise block and its
+        # gathered centers, and the output
+        assert peak <= 3 * centers_bytes + 2 * 8 * BLOB_BLOCK_VALUES + x.nbytes + y.nbytes \
+            + 256 * 1024, f"{peak} bytes"
+
     def test_rejects_idx_descriptor(self, tmp_path):
         img = tmp_path / "i.idx"
         lbl = tmp_path / "l.idx"

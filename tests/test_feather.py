@@ -12,9 +12,11 @@ from hypothesis.extra import numpy as hnp
 from featherprune.feather import (
     AUTO_STEP,
     FIXED,
+    SPAN,
     GradScalePolicy,
     PruneLayerState,
     _scale_pruned,
+    _scale_pruned_in_place,
     feather_backward,
     feather_forward,
     select_theta,
@@ -214,6 +216,30 @@ class TestScalePruned:
         assert state.weights.grad.tobytes() == np.float32([1.0, 0.25, 1.0]).tobytes()
 
 
+class TestScalePrunedInPlace:
+    """``_scale_pruned_in_place`` writes ``_scale_pruned``'s bytes into the
+    gradient's own memory, a span at a time: at span edges, past them, and
+    over several spans and a remainder."""
+
+    @given(
+        shape=st.one_of(
+            st.sampled_from([(1,), (SPAN - 1,), (SPAN,), (SPAN + 1,), (3 * SPAN + 5,),
+                             (784, 300), (16, 8, 3, 3)]),
+            st.integers(1, 4 * SPAN).map(lambda n: (n,))),
+        theta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+        density=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_copying_scale(self, shape, theta, density, seed):
+        rng = np.random.default_rng(seed)
+        grad = rng.standard_normal(shape).astype(np.float32)
+        mask = rng.random(shape) < density
+        want = _scale_pruned(grad.copy(), mask, theta)
+        out = _scale_pruned_in_place(grad, mask, theta)
+        assert out is grad and out.tobytes() == want.tobytes()
+
+
 class TestRecordedOp:
     """``feather_forward`` under a tape against the manual two-phase step."""
 
@@ -257,6 +283,27 @@ class TestRecordedOp:
             kept, dense = overrides[layer.name].grad, layer.weight.grad
             assert kept is not None and not np.shares_memory(kept, dense)
             assert kept[state.mask].tobytes() == dense[state.mask].tobytes()
+
+    @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_unkept_gradient_gives_the_kept_bytes(self, arch, theta):
+        # without keep_grad the incoming gradient is scaled where it lies
+        def step(keep_grad):
+            model = self.build(arch)
+            x = init_rng(4).standard_normal((8,) + model.input_shape).astype(np.float32)
+            states = [PruneLayerState(layer.name, layer.kind, layer.weight,
+                                      ThresholdOperator.power(3.0), theta=theta,
+                                      threshold=select_threshold(
+                                          np.abs(layer.weight.data).ravel(), 0.6))
+                      for layer in model.layers]
+            with Tape() as tape:
+                overrides = {s.name: feather_forward(s, keep_grad=keep_grad) for s in states}
+                tape.backward(softmax_cross_entropy(model.forward(Tensor(x), overrides),
+                                                    np.arange(8) % 4))
+            assert all((t.grad is not None) == keep_grad for t in overrides.values())
+            return [p.grad.tobytes() for p in model.parameters()]
+
+        assert step(keep_grad=False) == step(keep_grad=True)
 
     def test_without_tape_returns_constant(self):
         state = make_state([0.5, 0.1], threshold=0.2)
