@@ -42,9 +42,8 @@ AUTO_STEP = "auto_step"
 AUTO_SPARSITY_CUTOFF = 0.95
 AUTO_LOW_THETA = 0.5
 
-# Elements per span of a step's in-place passes over a weight-sized array (the
-# pruned-gradient scale here, the update in ``trainer.sgd_step``): each holds
-# one span of float32 scratch (64 KiB) in place of a weight-sized temporary.
+# Elements per span of the in-place pruned-gradient scale: it holds one span
+# of float32 scratch (64 KiB) in place of a weight-sized temporary.
 SPAN = 1 << 14
 
 
@@ -101,23 +100,21 @@ def select_theta(policy: GradScalePolicy, final_sparsity: float) -> float:
 def _scale_pruned(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
     """``grad`` scaled by theta off ``mask``; theta = 1 returns ``grad`` itself.
     Otherwise the result is a new array and ``grad`` is left as it was."""
-    if theta == 1.0:
-        return grad
-    # max(mask, theta) is 1 where the mask is set and theta elsewhere, as
-    # 0 <= theta <= 1; unlike np.where(mask, 1, theta) its cost does not
-    # depend on how the mask's bits are spread. The product goes into the
-    # scale's own array: no third weight-sized array.
-    scale = mask.astype(np.float32)
-    np.maximum(scale, np.float32(theta), out=scale)
-    return np.multiply(grad, scale, out=scale)
+    return grad if theta == 1.0 else _scale_pruned_in_place(grad.copy(), mask, theta)
 
 
 def _scale_pruned_in_place(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
-    """``_scale_pruned``'s bytes written into ``grad`` itself, ``SPAN`` elements
-    at a time, and ``grad`` returned. ``grad`` must be a C-contiguous array
-    that nothing else reads."""
+    """``grad * max(mask, theta)`` written into ``grad`` itself, ``SPAN``
+    elements at a time, and ``grad`` returned; ``grad`` must be an array that
+    nothing else reads. A ``grad`` that is not C-contiguous is scaled in a
+    C-ordered copy, which is returned in its place."""
     if theta == 1.0:
         return grad
+    if not grad.flags.c_contiguous:
+        grad = np.ascontiguousarray(grad)
+    # max(mask, theta) is 1 where the mask is set and theta elsewhere, as
+    # 0 <= theta <= 1; unlike np.where(mask, 1, theta) its cost does not
+    # depend on how the mask's bits are spread.
     flat, bits = grad.reshape(-1), mask.reshape(-1)
     scratch = np.empty(min(flat.size, SPAN), dtype=np.float32)
     for start in range(0, flat.size, SPAN):

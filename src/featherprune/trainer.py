@@ -34,7 +34,7 @@ from .backbones import (
 )
 from .datasets import decode_features
 from .errors import NonFiniteError, TrainingDivergedError
-from .feather import SPAN, GradScalePolicy, PruneLayerState, feather_forward, select_theta
+from .feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
 from .models import Model
 from .seeding import epoch_permutation
 from .tensor import Tape, Tensor, softmax_cross_entropy
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 METRICS_HEADER = "epoch,train_loss,val_top1,achieved_sparsity,lr,theta,mask_pearson_vs_final"
+
+# Elements per span of ``sgd_step``'s update: its span-sized scratch array
+# (64 KiB of float32) stands in for two weight-sized temporaries.
+SGD_SPAN = 1 << 14
 
 
 @dataclass
@@ -171,7 +175,7 @@ def sgd_step(weights: np.ndarray, grad: np.ndarray, momentum_buffer: np.ndarray,
     # ``lr * buffer`` and ``grad + weight_decay * weights`` formed in one
     # span-sized scratch array: each element sees the whole-array expressions.
     w, g, buf = np.atleast_1d(weights, grad, momentum_buffer)
-    rows = max(1, SPAN * len(w) // max(w.size, 1))
+    rows = max(1, SGD_SPAN * len(w) // max(w.size, 1))
     scratch = np.empty_like(buf[:rows])
     for start in range(0, len(w), rows):
         w_span, b_span = w[start : start + rows], buf[start : start + rows]

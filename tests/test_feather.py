@@ -217,27 +217,32 @@ class TestScalePruned:
 
 
 class TestScalePrunedInPlace:
-    """``_scale_pruned_in_place`` writes ``_scale_pruned``'s bytes into the
-    gradient's own memory, a span at a time: at span edges, past them, and
-    over several spans and a remainder."""
+    """``_scale_pruned_in_place`` writes the bytes of ``grad * max(mask, theta)``
+    into the gradient's own memory, a span at a time: at span edges, past them,
+    and over several spans and a remainder. A gradient that is not C-contiguous
+    gets the same bytes in a copy."""
 
     @given(
         shape=st.one_of(
             st.sampled_from([(1,), (SPAN - 1,), (SPAN,), (SPAN + 1,), (3 * SPAN + 5,),
                              (784, 300), (16, 8, 3, 3)]),
             st.integers(1, 4 * SPAN).map(lambda n: (n,))),
+        transposed=st.booleans(),
         theta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
         density=st.floats(0, 1),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bytes_match_copying_scale(self, shape, theta, density, seed):
+    def test_bytes_match_whole_array_scale(self, shape, transposed, theta, density, seed):
         rng = np.random.default_rng(seed)
         grad = rng.standard_normal(shape).astype(np.float32)
         mask = rng.random(shape) < density
-        want = _scale_pruned(grad.copy(), mask, theta)
+        if transposed:  # an F-ordered gradient, as g.T of a GEMM result would be
+            grad, mask = grad.T, mask.T
+        want = grad * np.maximum(mask.astype(np.float32), np.float32(theta))
         out = _scale_pruned_in_place(grad, mask, theta)
-        assert out is grad and out.tobytes() == want.tobytes()
+        assert out.shape == grad.shape and out.tobytes() == want.tobytes()
+        assert (out is grad) == (grad.flags.c_contiguous or theta == 1.0)
 
 
 class TestRecordedOp:

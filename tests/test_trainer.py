@@ -18,19 +18,14 @@ from featherprune.analysis import MaskSnapshot
 from featherprune.backbones import BackboneKind, SparsitySchedule, cubic_sparsity
 from featherprune.datasets import DatasetDescriptor, SplitDataset, load_dataset
 from featherprune.errors import TrainingDivergedError
-from featherprune.feather import (
-    SPAN,
-    GradScalePolicy,
-    PruneLayerState,
-    feather_forward,
-    select_theta,
-)
+from featherprune.feather import GradScalePolicy, PruneLayerState, feather_forward, select_theta
 from featherprune.models import build_cnn, build_mlp
 from featherprune.seeding import epoch_permutation, init_rng
 from featherprune.tensor import Tensor, softmax_cross_entropy
 from featherprune.thresholding import ThresholdOperator, select_threshold
 from featherprune.trainer import (
     METRICS_HEADER,
+    SGD_SPAN,
     RunMetrics,
     TrainConfig,
     TrainResult,
@@ -175,8 +170,8 @@ class TestSgdStepSpans:
     layout."""
 
     @given(
-        shape=st.sampled_from([(), (10,), (SPAN - 1,), (SPAN,), (SPAN + 1,), (3 * SPAN + 5,),
-                               (55, 300), (784, 300), (16, 8, 3, 3)]),
+        shape=st.sampled_from([(), (10,), (SGD_SPAN - 1,), (SGD_SPAN,), (SGD_SPAN + 1,),
+                               (3 * SGD_SPAN + 5,), (55, 300), (784, 300), (16, 8, 3, 3)]),
         transposed=st.booleans(),
         lr=st.floats(0, 1),
         momentum=st.floats(0, 0.99),
