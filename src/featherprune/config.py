@@ -10,6 +10,7 @@ exact record of what produced it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -152,6 +153,15 @@ def build_operator(values) -> ThresholdOperator:
         raise ConfigError(f"prune.p: {exc}") from None
 
 
+def _check_sizes(keys: str, shapes) -> None:
+    """Refuse what numpy refuses before allocating, a float64 array of more
+    than ``sys.maxsize`` bytes, by arithmetic alone: no array is built."""
+    shape = max(shapes, key=math.prod)
+    if math.prod(shape) > sys.maxsize // 8:
+        raise ConfigError(f"{keys}: a {' x '.join(map(str, shape))} array would hold "
+                          f"more than {sys.maxsize // 8} values")
+
+
 def build_descriptor(values) -> DatasetDescriptor:
     # model.classes bounds the labels load_dataset accepts: refuse it here,
     # before any dataset file is opened
@@ -164,7 +174,7 @@ def build_descriptor(values) -> DatasetDescriptor:
             images_path=values["dataset.images"] or None,
             labels_path=values["dataset.labels"] or None,
         )
-    return DatasetDescriptor(
+    desc = DatasetDescriptor(
         kind="blobs",
         split=values["dataset.split"],
         classes=values["dataset.classes"],
@@ -173,6 +183,9 @@ def build_descriptor(values) -> DatasetDescriptor:
         noise=values["dataset.noise"],
         seed=values["dataset.seed"],
     )
+    # the generated points; the class centers are fewer rows
+    _check_sizes("dataset.samples and dataset.dims", [(desc.samples, desc.dims)])
+    return desc
 
 
 def _build_train_config(values) -> TrainConfig:
@@ -243,5 +256,12 @@ def build_model_for(values: dict[str, object], input_shape: tuple, seed: int) ->
     if cnn:
         if len(input_shape) != 3:
             raise ConfigError(f"cnn needs channel-height-width input, dataset provides {input_shape}")
+        # the two 3x3 kernels, and the head at the input's full resolution,
+        # which bounds what the stride-2 convs leave of it
+        (channels, rows, cols), (c1, c2) = input_shape, widths
+        _check_sizes(f"{key} and model.classes",
+                     [(c1, channels, 9), (c2, c1, 9), (c2 * rows * cols, num_classes)])
         return build_cnn(input_shape, num_classes, rng, channels=tuple(widths))
-    return build_mlp(math.prod(input_shape), list(widths), num_classes, rng)
+    sizes = [math.prod(input_shape), *widths, num_classes]
+    _check_sizes(f"{key} and model.classes", zip(sizes, sizes[1:]))
+    return build_mlp(sizes[0], list(widths), num_classes, rng)

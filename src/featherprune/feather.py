@@ -97,12 +97,6 @@ def select_theta(policy: GradScalePolicy, final_sparsity: float) -> float:
     return 1.0 if final_sparsity < AUTO_SPARSITY_CUTOFF else AUTO_LOW_THETA
 
 
-def _scale_pruned(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
-    """``grad`` scaled by theta off ``mask``; theta = 1 returns ``grad`` itself.
-    Otherwise the result is a new array and ``grad`` is left as it was."""
-    return grad if theta == 1.0 else _scale_pruned_in_place(grad.copy(), mask, theta)
-
-
 def _scale_pruned_in_place(grad: np.ndarray, mask: np.ndarray, theta: float) -> np.ndarray:
     """``grad * max(mask, theta)`` written into ``grad`` itself, ``SPAN``
     elements at a time, and ``grad`` returned; ``grad`` must be an array that
@@ -132,12 +126,12 @@ def feather_forward(state: PruneLayerState, keep_grad: bool = True) -> Tensor:
     Refreshes ``state.mask`` from the current weights and threshold and returns
     the sparse weights; the dense weights are untouched. Under a tape, if the
     dense weights require a gradient, the output's recorded backward passes its
-    gradient to them with this pass's pruned entries scaled by ``state.theta``.
-    With ``keep_grad`` that backward also keeps the incoming gradient as the
-    output's ``grad``; without it the output keeps none, and the incoming
-    gradient, which the tape hands over held by nothing else, is scaled in
-    place and goes on to the dense weights uncopied. Otherwise the output is a
-    constant.
+    gradient to them with this pass's pruned entries scaled by ``state.theta``:
+    the incoming gradient, which the tape hands over held by nothing else, is
+    scaled in place and goes on to the dense weights uncopied. With
+    ``keep_grad`` that backward first keeps a copy of it, at every theta, as
+    the output's ``grad``; without it the output keeps none. Otherwise the
+    output is a constant.
     """
     if state.threshold is None:
         raise ValueError(f"layer {state.name!r} has no threshold assigned")
@@ -150,12 +144,8 @@ def feather_forward(state: PruneLayerState, keep_grad: bool = True) -> Tensor:
     weights, theta = state.weights, state.theta
 
     def backward_fn(g: np.ndarray):
-        # The tape keeps no op output's gradient; this one is kept on request,
-        # as the gradient w.r.t. the sparse weights. At theta = 1 the array
-        # itself goes on to the dense weights, so the output keeps a copy.
-        if keep_grad:
-            out.accumulate_grad(g, copy=theta == 1.0)
-            return [(weights, _scale_pruned(g, mask, theta))]
+        if keep_grad:  # a copy, taken before ``g`` is scaled in place
+            out.accumulate_grad(g)
         return [(weights, _scale_pruned_in_place(g, mask, theta))]
 
     tape.record(out, backward_fn)
@@ -167,7 +157,8 @@ def feather_backward(state: PruneLayerState, grad_wrt_sparse: np.ndarray) -> np.
 
     Must be called with the mask from the immediately preceding forward pass;
     active positions pass through unchanged, pruned positions are scaled by
-    theta. With theta = 1 the given gradient array itself is installed.
+    theta. With theta = 1 the given gradient array itself is installed;
+    otherwise a scaled copy, and the given array is left as it was.
     """
     if state.mask is None:
         raise ValueError(f"layer {state.name!r} has no mask; run feather_forward first")
@@ -176,5 +167,6 @@ def feather_backward(state: PruneLayerState, grad_wrt_sparse: np.ndarray) -> np.
         raise ValueError(
             f"gradient shape {grad.shape} does not match mask shape {state.mask.shape}"
         )
-    state.weights.grad = _scale_pruned(grad, state.mask, state.theta)
+    state.weights.grad = _scale_pruned_in_place(grad if state.theta == 1.0 else grad.copy(),
+                                                state.mask, state.theta)
     return state.weights.grad

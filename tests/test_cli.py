@@ -41,6 +41,17 @@ def run_train(out_dir, extra=()):
     return main(["train", "--out", str(out_dir), *BASE, *extra])
 
 
+def idx_cnn_args(tmp_path) -> list[str]:
+    """``--set`` arguments for a CNN on a pair of IDX files: ten blank 4x4
+    images labelled 0-9."""
+    images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+    images.write_bytes(b"\x00\x00\x08\x03" + (10).to_bytes(4, "big")
+                       + (4).to_bytes(4, "big") * 2 + bytes(160))
+    labels.write_bytes(b"\x00\x00\x08\x01" + (10).to_bytes(4, "big") + bytes(range(10)))
+    return ["--set", "model.arch=cnn", "--set", "dataset.kind=idx",
+            "--set", f"dataset.images={images}", "--set", f"dataset.labels={labels}"]
+
+
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         assert run_train(tmp_path / "run") == 0
@@ -751,15 +762,27 @@ class TestExitCodes:
         ("model.channels=0,16", "model.channels must list two positive widths, got '0,16'"),
     ])
     def test_bad_cnn_channels_are_two(self, tmp_path, capsys, override, message):
-        images, labels = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
-        images.write_bytes(b"\x00\x00\x08\x03" + (10).to_bytes(4, "big")
-                           + (4).to_bytes(4, "big") * 2 + bytes(160))
-        labels.write_bytes(b"\x00\x00\x08\x01" + (10).to_bytes(4, "big") + bytes(range(10)))
-        code = main(["train", "--out", str(tmp_path / "run"), "--set", "model.arch=cnn",
-                     "--set", "dataset.kind=idx", "--set", f"dataset.images={images}",
-                     "--set", f"dataset.labels={labels}", "--set", override])
+        code = main(["train", "--out", str(tmp_path / "run"), *idx_cnn_args(tmp_path),
+                     "--set", override])
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch,override,key", [
+        ("mlp", "model.hidden=99999999999999999999", "model.hidden"),
+        ("mlp", "model.hidden=300,9223372036854775808", "model.hidden"),
+        ("mlp", "dataset.dims=99999999999999999999", "dataset.dims"),
+        ("mlp", "dataset.samples=4611686018427387904", "dataset.samples"),
+        ("cnn", "model.channels=99999999999999999999,4", "model.channels"),
+        ("cnn", "model.channels=4,99999999999999999999", "model.channels"),
+    ])
+    def test_size_past_what_an_array_can_hold_is_two(self, tmp_path, capsys, arch, override,
+                                                      key):
+        # each size fails numpy before it allocates; the config check names it
+        args = idx_cnn_args(tmp_path) if arch == "cnn" else BASE
+        code = main(["train", "--out", str(tmp_path / "run"), *args, "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
     def test_zero_hidden_width_is_two(self, tmp_path, capsys):
         assert run_train(tmp_path, ["--set", "model.hidden=8,0"]) == 2

@@ -15,7 +15,6 @@ from featherprune.feather import (
     SPAN,
     GradScalePolicy,
     PruneLayerState,
-    _scale_pruned,
     _scale_pruned_in_place,
     feather_backward,
     feather_forward,
@@ -184,9 +183,9 @@ class TestFeatherBackward:
 
 
 class TestScalePruned:
-    """``_scale_pruned`` writes its product into the scale array it makes: the
-    bytes of ``grad * max(mask, theta)``, with ``grad`` left as it was (under
-    a tape, at theta < 1, ``grad`` is the gradient the sparse weights keep)."""
+    """``feather_backward`` installs the bytes of ``grad * max(mask, theta)``
+    and leaves ``grad`` as it was: below theta 1 the product is written into a
+    copy of its own."""
 
     @given(
         grad=hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
@@ -197,8 +196,10 @@ class TestScalePruned:
     @settings(max_examples=200, deadline=None)
     def test_bytes_and_grad_untouched(self, grad, theta, data):
         mask = data.draw(hnp.arrays(np.bool_, grad.shape))
+        state = make_state(np.where(mask, 1.0, 0.0), theta=theta, threshold=0.5)
+        feather_forward(state)
         before = grad.copy()
-        out = _scale_pruned(grad, mask, theta)
+        out = feather_backward(state, grad)
         want = grad * np.maximum(mask.astype(np.float32), np.float32(theta))
         assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
         assert grad.tobytes() == before.tobytes()

@@ -586,6 +586,31 @@ class TestConv2dBlasThreads:
             _one_thread_matmul(np.ones((2, 3), np.float32), np.ones((2, 3), np.float32))
         assert get() == 2
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_product_runs_between_one_thread_and_the_callers_count(self, monkeypatch,
+                                                                    raises):
+        calls = []
+
+        class Operand(np.ndarray):
+            def __matmul__(self, other):
+                calls.append("product")
+                if raises:
+                    raise FloatingPointError
+                return np.asarray(self) @ other
+
+        def get():
+            calls.append("get")
+            return 3
+
+        monkeypatch.setattr(tensor, "_openblas", lambda: (get, lambda n: calls.append(n)))
+        a = np.ones((2, 3), np.float32).view(Operand)
+        if raises:
+            with pytest.raises(FloatingPointError):
+                _one_thread_matmul(a, np.ones((3, 2), np.float32))
+        else:
+            _one_thread_matmul(a, np.ones((3, 2), np.float32))
+        assert calls == ["get", 1, "product", 3]
+
 
 # (batch, in_features, out_features) of the CNN's dense head over conv2's
 # 16x7x7 features, and of the 784-300-100-10 MLP's layers

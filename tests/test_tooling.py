@@ -83,3 +83,13 @@ print(json.dumps({"spans": tracer.SPANS, "layers": layers,
     report = json.loads(proc.stdout.splitlines()[-1])
     applies = [span for span in report["spans"] if span_applies(span, report["layers"])]
     assert sorted(set(applies) - set(report["called"])) == []
+
+
+def test_trend_power_script_imports_what_the_criteria_run():
+    # tests/trend_power.py measures criteria 7 and 8 through test_acceptance's
+    # own names; importing it without running it fails on a rename there
+    import trend_power
+
+    assert trend_power.N_VAL == 1024
+    assert [len(side) for _, *sides in trend_power.CHECKS for side in sides] == [4] * 8
+    assert callable(trend_power.main)

@@ -365,6 +365,41 @@ class TestTrainLoss:
         assert result.metrics.records[-1].train_loss == want
 
 
+class TestWarmup:
+    def test_warmup_lasts_its_epochs_in_steps(self, monkeypatch):
+        """A one-epoch warmup at 4 steps per epoch ramps over 4 steps: every
+        SGD step's lr and the metrics' ``lr`` column follow a cosine with a
+        linear warmup from 0, written out here apart from ``cosine_lr``."""
+        from featherprune import trainer
+
+        seen = []
+        real_step = trainer.sgd_step
+
+        def spy(weights, grad, buffer, lr, momentum, weight_decay):
+            seen.append(lr)
+            real_step(weights, grad, buffer, lr, momentum, weight_decay)
+
+        monkeypatch.setattr(trainer, "sgd_step", spy)
+        base_lr, epochs, per_epoch, warmup = 0.1, 4, 4, 4
+        cfg = replace(small_config(epochs=epochs, lr=base_lr, lr_warmup_epochs=1),
+                      batch_size=50)
+        model = small_model()
+        result = train(cfg, model, small_dataset())
+
+        def want(step):
+            if step < warmup:
+                return base_lr * step / warmup
+            t = (step - warmup) / (epochs * per_epoch - warmup)
+            return base_lr * (1.0 + math.cos(math.pi * t)) / 2.0
+
+        steps = range(epochs * per_epoch)
+        params = len(model.parameters())
+        assert seen == pytest.approx([want(s) for s in steps for _ in range(params)], rel=1e-12)
+        column = [float(line.split(",")[METRICS_HEADER.split(",").index("lr")])
+                  for line in result.metrics.to_csv().splitlines()[1:]]
+        assert column == pytest.approx([want(e * per_epoch) for e in range(epochs)], rel=1e-12)
+
+
 def fresh_run(cfg, model):
     """The run at epoch 0 as ``train`` starts it."""
     theta = select_theta(cfg.grad_policy, cfg.schedule.final_sparsity)
