@@ -95,8 +95,15 @@ def assign_thresholds(
         exempt = next((s for s in layers if s.kind == "conv"), None)
     pruned = [s for s in layers if s is not exempt]
     for pool in [pruned] if backbone.kind == GLOBAL else [[s] for s in pruned]:
-        magnitudes = np.concatenate([np.abs(s.weights.data).ravel() for s in pool])
-        threshold = select_threshold(magnitudes, sparsity)
+        # the pool's magnitudes are written into one buffer, which the
+        # selection may then reorder in place: one pool-sized array in all
+        magnitudes = np.empty(sum(s.weights.data.size for s in pool), dtype=np.float32)
+        start = 0
+        for state in pool:
+            weights = state.weights.data
+            np.abs(weights, out=magnitudes[start : start + weights.size].reshape(weights.shape))
+            start += weights.size
+        threshold = select_threshold(magnitudes, sparsity, overwrite_input=True)
         for state in pool:
             state.threshold = threshold
     if exempt is not None:

@@ -55,10 +55,10 @@ __all__ = ["main", "run_spec"]
 
 def run_spec(spec: RunSpec) -> dict:
     """Execute one training run into its output directory."""
-    out = spec.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(spec.descriptor, expected_classes=spec.values["model.classes"])
     model = build_model_for(spec.values, dataset.input_shape, spec.train.seed)
+    out = spec.out_dir  # made only once the data and model are accepted
+    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "config.txt", config_to_text(spec.values))
 
     result = train(spec.train, model, dataset)

@@ -96,14 +96,13 @@ def apply_threshold(
         # matrix would give.
         del magnitude
         p = op.p
-        kept = np.flatnonzero(mask)
+        survivors = np.count_nonzero(mask)
         flat_w = w.reshape(-1)
         pruned = np.zeros(w.shape, dtype=w.dtype)
         flat_pruned = pruned.reshape(-1)
-        block = min(kept.size, POWER_BLOCK)
+        block = min(survivors, POWER_BLOCK)
         scaled_buf, ratio_buf = np.empty(block), np.empty(block)
-        for start in range(0, kept.size, POWER_BLOCK):
-            index = kept[start : start + POWER_BLOCK]
+        for index in _survivor_blocks(mask.reshape(-1), survivors):
             signed = flat_w[index]
             scaled, ratio = scaled_buf[: index.size], ratio_buf[: index.size]
             np.abs(signed, out=scaled)
@@ -127,13 +126,35 @@ def apply_threshold(
     return pruned, mask
 
 
-def select_threshold(magnitudes: np.ndarray, target_sparsity: float) -> float:
+def _survivor_blocks(flat_mask: np.ndarray, survivors: int):
+    """The flat indices of ``flat_mask``'s ``survivors`` set entries, in order,
+    at most ``POWER_BLOCK`` at a time. Each index is taken over one of
+    ceil(survivors / POWER_BLOCK) equal chunks of the mask, so it holds about
+    a block when the survivors are spread evenly, and never more than one
+    chunk's entries."""
+    chunks = max(1, -(-survivors // POWER_BLOCK))
+    chunk = max(1, -(-flat_mask.size // chunks))  # a mask may be empty
+    for lo in range(0, flat_mask.size, chunk):
+        kept = np.flatnonzero(flat_mask[lo : lo + chunk])
+        kept += lo
+        for start in range(0, kept.size, POWER_BLOCK):
+            yield kept[start : start + POWER_BLOCK]
+
+
+def select_threshold(magnitudes: np.ndarray, target_sparsity: float, *,
+                     overwrite_input: bool = False) -> float:
     """Pick the threshold that prunes (at least) a target fraction of entries.
 
     With k = floor(target * N), returns 0 when k = 0 and otherwise the k-th
     smallest magnitude. Because pruning uses the strict rule |w| > T, at least
     k entries fall at or below the returned threshold; ties at the k-th value
     overshoot the target by the tie count.
+
+    By default ``magnitudes`` is left as it was and the selection runs on a
+    copy. With ``overwrite_input`` (the name ``np.percentile`` gives the same
+    choice) the selection may reorder ``magnitudes`` itself, so no copy is
+    made when the array is contiguous; its contents are then unspecified.
+    The returned threshold is the same either way.
     """
     mags = np.asarray(magnitudes)
     if mags.size == 0:
@@ -146,5 +167,7 @@ def select_threshold(magnitudes: np.ndarray, target_sparsity: float) -> float:
     k = int(np.floor(target_sparsity * mags.size))
     if k == 0:
         return 0.0
-    flat = mags.ravel()
-    return float(np.partition(flat, k - 1)[k - 1])
+    # ravel gives a view of a contiguous array, flatten always a copy
+    flat = mags.ravel() if overwrite_input else mags.flatten()
+    flat.partition(k - 1)
+    return float(flat[k - 1])

@@ -235,6 +235,14 @@ def run_epoch(config: TrainConfig, model: Model, run: TrainResult, dataset) -> N
                 overrides = {state.name: feather_forward(state, keep_grad=False)
                              for state in states}
                 logits = model.forward(Tensor(decode_features(dataset.train_x[idx])), overrides)
+                # The thresholded weights' arrays go once the forward returns.
+                # A layer's backward that reads them (for its input's gradient)
+                # holds its own reference, and a Feather backward without
+                # keep_grad never reads them, so this frees only what no
+                # backward reads: the first layer's, whose input takes no
+                # gradient.
+                for sparse in overrides.values():
+                    sparse.data = None
                 loss = softmax_cross_entropy(logits, dataset.train_y[idx],
                                              config.label_smoothing)
                 tape.backward(loss)
@@ -246,8 +254,8 @@ def run_epoch(config: TrainConfig, model: Model, run: TrainResult, dataset) -> N
         loss_sum += loss.item() * len(idx)
         # The thresholded weights keep no gradient, and each parameter's goes
         # once SGD has read it. The step's graph (its tape with the arrays
-        # each layer's backward reads, and the thresholded weights) goes here,
-        # so the next step's threshold pass finds none of it alive.
+        # each layer's backward reads) goes here, so the next step's
+        # threshold pass finds none of it alive.
         del tape, overrides, logits, loss
 
     val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,

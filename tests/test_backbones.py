@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from featherprune import trainer
 from featherprune.backbones import (
@@ -249,6 +250,34 @@ class TestBackboneKind:
         assign_thresholds(via_kind, 0.4, BackboneKind("global"))
         assign_thresholds_global(direct, 0.4, exempt_first_conv=False)
         assert [s.threshold for s in via_kind] == [s.threshold for s in direct]
+
+
+    @given(
+        shapes=st.lists(hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
+                        min_size=1, max_size=4),
+        fortran=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        sparsity=st.floats(0.0, 0.99),
+        kind=st.sampled_from(["global", "uniform"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_pool_gets_the_selection_over_its_concatenated_magnitudes(
+            self, shapes, fortran, seed, sparsity, kind):
+        # a pool's magnitudes are written into one buffer and selected in
+        # place; the weights themselves, in either memory order, stay as they were
+        rng = np.random.default_rng(seed)
+        layers = []
+        for i, (shape, f_order) in enumerate(zip(shapes, fortran)):
+            w = rng.standard_normal(shape).astype(np.float32)
+            layers.append(make_state(np.asfortranarray(w) if f_order else w, name=f"fc{i}"))
+        before = [s.weights.data.copy() for s in layers]
+        assign_thresholds(layers, sparsity, BackboneKind(kind, False))
+        for pool in [layers] if kind == "global" else [[s] for s in layers]:
+            pooled = np.concatenate([np.abs(s.weights.data).ravel() for s in pool])
+            want = select_threshold(pooled, sparsity)
+            assert [s.threshold for s in pool] == [want] * len(pool)
+        for state, w in zip(layers, before):
+            assert state.weights.data.tobytes() == w.tobytes()
 
 
 class TestMeasuredSparsity:

@@ -783,6 +783,16 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+        # no run directory is left, although a model key is checked only
+        # when the model is built
+        assert not (tmp_path / "run").exists()
+
+    def test_unreadable_idx_is_one_and_leaves_no_run_directory(self, tmp_path, capsys):
+        args = idx_cnn_args(tmp_path)
+        (tmp_path / "imgs.idx").write_bytes(b"\x00\x00\x08\x01" + bytes(12))  # label magic
+        assert main(["train", "--out", str(tmp_path / "run"), *args]) == 1
+        assert capsys.readouterr().err.startswith("run failed: ")
+        assert not (tmp_path / "run").exists()
 
     def test_zero_hidden_width_is_two(self, tmp_path, capsys):
         assert run_train(tmp_path, ["--set", "model.hidden=8,0"]) == 2

@@ -293,16 +293,52 @@ class TestSurvivorOnlyPowerP:
     @pytest.mark.parametrize("sparsity", [0.01, 0.27, 0.5])
     def test_float64_working_set_is_one_block(self, sparsity):
         # fc0 of the 784-300-100-10 MLP. Beyond the per-entry arrays (|w|, the
-        # mask, the result) and the int64 survivor index, the float64 steps may
-        # hold a few blocks, however many entries survive; evaluating all the
-        # survivors at once fails this from S=0.27 down.
+        # mask, the result), the float64 steps and the int64 survivor index
+        # may hold two blocks, however many entries survive; evaluating all
+        # the survivors at once fails this from S=0.27 down, and an index over
+        # all of them (8 bytes each) at every sparsity here.
         w = np.random.default_rng(0).standard_normal((784, 300)).astype(np.float32)
         t = float(np.quantile(np.abs(w), sparsity))
         apply_threshold(w, t, P3)  # numpy's one-off first-call allocations
         (pruned, mask), peak = peak_bytes(apply_threshold, w, t, P3)
-        survivors = int(mask.sum())
         per_entry = pruned.nbytes + mask.nbytes + np.abs(w).nbytes
-        assert peak <= per_entry + 8 * survivors + 8 * 8 * POWER_BLOCK
+        assert peak <= per_entry + 2 * 8 * POWER_BLOCK
+
+
+class TestChunkedSurvivorIndex:
+    """The power-p branch takes its survivor index one chunk of the matrix at
+    a time; the bytes must be those of one index over the whole matrix and
+    one float64 chain over every survivor, however the survivors are spread
+    over the chunks."""
+
+    @staticmethod
+    def whole_array_reference(w, t, p):
+        mask = np.abs(w) > t
+        kept = np.flatnonzero(mask)
+        signed = w.reshape(-1)[kept]
+        ratio = np.abs(signed).astype(np.float64) / t
+        scaled = t * ratio * (1.0 - ratio ** -p) ** (1.0 / p)
+        pruned = np.zeros_like(w)
+        pruned.reshape(-1)[kept] = np.copysign(scaled.astype(w.dtype), signed)
+        return pruned, mask
+
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    @pytest.mark.parametrize("placement", ["first_rows", "last_rows", "strided"])
+    def test_matches_one_whole_array_chain(self, placement, p):
+        rng = np.random.default_rng(7)
+        t = 0.25
+        w = rng.uniform(-t, t, (192, 12 * POWER_BLOCK // 192)).astype(np.float32)
+        flat = w.reshape(-1)
+        survivors = 2 * POWER_BLOCK + 4099  # three chunks of 4 * POWER_BLOCK entries
+        kept = {"first_rows": np.arange(survivors),
+                "last_rows": np.arange(flat.size - survivors, flat.size),
+                "strided": np.arange(survivors) * (flat.size // survivors)}[placement]
+        flat[kept] = rng.uniform(t, 4.0, survivors) * rng.choice([-1, 1], survivors)
+        pruned, mask = apply_threshold(w, t, ThresholdOperator.power(p))
+        want, want_mask = self.whole_array_reference(w, t, p)
+        assert int(want_mask.sum()) == survivors
+        assert pruned.tobytes() == want.tobytes()
+        assert mask.tobytes() == want_mask.tobytes()
 
 
 class TestPreallocatedBlocks:
@@ -381,6 +417,27 @@ class TestSelectThreshold:
         before = mags.copy()
         select_threshold(mags, 0.5)
         np.testing.assert_array_equal(mags, before)
+
+    @given(
+        mags=hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=40),
+                        elements=finite_f32(0, 100)),
+        target=st.floats(0, 1),
+        transpose=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_overwrite_input_gives_the_copying_result(self, mags, target, transpose):
+        want = select_threshold(mags, target)
+        work = mags.copy().T if transpose else mags.copy()
+        assert select_threshold(work, target, overwrite_input=True) == want
+
+    def test_overwrite_input_allocates_less_than_a_copy(self):
+        mags = np.abs(np.random.default_rng(3).standard_normal(1 << 16)).astype(np.float32)
+        want, copy_peak = peak_bytes(select_threshold, mags, 0.9)
+        assert copy_peak >= mags.nbytes  # the default path does copy, and is seen to
+        work = mags.copy()
+        threshold, peak = peak_bytes(select_threshold, work, 0.9, overwrite_input=True)
+        assert threshold == want
+        assert peak < mags.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):

@@ -651,6 +651,23 @@ class TestNothingLeftOver:
         assert peak <= 4.25 * weight_bytes, f"peak {peak / weight_bytes:.2f}x the weights"
 
 
+    @pytest.mark.parametrize("epochs", [4, 8, 20])
+    def test_train_peak_holds_no_weight_sized_temporary(self, epochs):
+        # as above, and no phase adds a weight-sized temporary at its peak:
+        # fc0's thresholded weights go before the backward, each pool's
+        # magnitudes are selected in place in one buffer, and the survivor
+        # index is taken a chunk at a time (at 3.5x, one more fc0-sized array
+        # would not fit; an index over every early-epoch survivor of fc0
+        # breaks the bound at 20 epochs)
+        data = load_dataset(DatasetDescriptor(kind="blobs", dims=784, classes=10,
+                                              samples=640, noise=0.3, seed=1))
+        model = build_mlp(784, [300, 100], 10, init_rng(1))
+        weight_bytes = sum(layer.weight.data.nbytes for layer in model.layers)
+        _, peak = peak_bytes(train, small_config(epochs=epochs, final_sparsity=0.98),
+                             model, data)
+        assert peak <= 3.5 * weight_bytes, f"peak {peak / weight_bytes:.2f}x the weights"
+
+
 class TestMetricsCsv:
     def test_header_contract(self):
         assert METRICS_HEADER.split(",") == [
