@@ -177,8 +177,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _cell_dirname(axis_pairs: list[tuple[str, str]]) -> str:
-    return "__".join(f"{key.replace('.', '-')}_{value}" for key, value in axis_pairs)
+def _cell_dirname(keys, values) -> str:
+    """A sweep cell's directory, one path component: ``%`` and the path
+    separators in its values are percent-encoded, so none reaches outside
+    ``--out``."""
+    escapes = {ord(c): f"%{ord(c):02X}" for c in ("%", os.sep, os.altsep) if c}
+    return "__".join(f"{key.replace('.', '-')}_{value.translate(escapes)}"
+                     for key, value in zip(keys, values))
 
 
 def _run_cell(payload) -> tuple:
@@ -201,12 +206,14 @@ def _repeated(items: list):
 def cmd_sweep(args) -> int:
     file_text = _read_config(args.config) if args.config else None
     base_overrides = list(args.set or [])
-    axes: list[tuple[str, list[str]]] = []
+    axes: dict[str, list[str]] = {}
     for item in args.axis or []:
         if "=" not in item:
             raise ConfigError(f"axis must look like key=v1,v2,..., got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
+        if key in axes:
+            raise ConfigError(f"--axis {key!r} is given more than once")
         values = [v.strip() for v in raw.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"axis {key!r} lists no values")
@@ -216,11 +223,9 @@ def cmd_sweep(args) -> int:
             first, again = [v for v, text in zip(values, resolved) if text == repeat][:2]
             also = f" (also as {again!r})" if again != first else ""
             raise ConfigError(f"axis {key!r} lists {first!r} more than once{also}")
-        axes.append((key, values))
+        axes[key] = values
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
-    if (repeat := _repeated([key for key, _ in axes])) is not None:
-        raise ConfigError(f"--axis {repeat!r} is given more than once")
     seeds = []
     for token in filter(None, (s.strip() for s in args.seeds.split(","))):
         try:
@@ -234,17 +239,20 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
+    cells = list(itertools.product(*axes.values()))
+    dirnames = [_cell_dirname(axes, combo) for combo in cells]
+    if (repeat := _repeated(dirnames)) is not None:
+        first, again = [combo for combo, name in zip(cells, dirnames) if name == repeat][:2]
+        raise ConfigError(f"cells {first} and {again} would share the directory {repeat!r}")
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cells = list(itertools.product(*(values for _, values in axes)))
     jobs = []
-    for combo in cells:
-        axis_pairs = list(zip((key for key, _ in axes), combo))
-        cell_dir = out / _cell_dirname(axis_pairs)
+    for combo, dirname in zip(cells, dirnames):
         for seed in seeds:
-            overrides = base_overrides + [f"{k}={v}" for k, v in axis_pairs] \
+            overrides = base_overrides + [f"{k}={v}" for k, v in zip(axes, combo)] \
                 + [f"run.seed={seed}"]
-            jobs.append((file_text, overrides, str(cell_dir / f"seed{seed}")))
+            jobs.append((file_text, overrides, str(out / dirname / f"seed{seed}")))
 
     workers = min(args.jobs, len(jobs))
     if workers > 1:
@@ -256,14 +264,11 @@ def cmd_sweep(args) -> int:
     else:
         results = [_run_cell(job) for job in jobs]
 
-    header = [key for key, _ in axes] + ["seeds", "mean_val_top1", "std_val_top1", "failures"]
-    lines = [",".join(header)]
-    failed_runs = 0
+    lines = [",".join([*axes, "seeds", "mean_val_top1", "std_val_top1", "failures"])]
     for i, combo in enumerate(cells):
         cell_results = results[i * len(seeds) : (i + 1) * len(seeds)]
         accs = [acc for status, acc in cell_results if status == "ok"]
         failures = len(seeds) - len(accs)
-        failed_runs += failures
         for status, _ in cell_results:
             if status != "ok":
                 print(f"cell {combo} failed: {status}", file=sys.stderr)
@@ -272,7 +277,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(list(combo) + [str(len(accs)), repr(mean), repr(std), str(failures)]))
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep: {len(cells)} cells x {len(seeds)} seeds -> {out / 'sweep.csv'}")
-    if failed_runs == len(jobs):
+    if all(status != "ok" for status, _ in results):
         print(f"sweep failed: no run succeeded ({len(jobs)} failed)", file=sys.stderr)
         return 1
     return 0

@@ -21,10 +21,11 @@ Gradients are recorded on an explicit :class:`Tape`: each operation executed
 while a tape is active appends one record, and ``Tape.backward(loss)`` replays
 the records once, in reverse order, accumulating gradients additively into
 every ``requires_grad`` leaf reachable from the loss. Op outputs pass their
-gradient on without keeping it. A tape replays only once, so a recorded
-backward may drop what it has read as soon as it is done with it, as
-``conv2d``'s does with its columns; gradients from separate tapes still add up
-in each leaf's ``grad``.
+gradient on without keeping it. A tape replays only once and lets go of each
+record as it replays it, so the arrays only that record's backward holds go
+as soon as it has run, and a recorded backward may drop what it has read
+sooner still, as ``conv2d``'s does with its columns; gradients from separate
+tapes still add up in each leaf's ``grad``.
 """
 
 from __future__ import annotations
@@ -105,15 +106,16 @@ class Tape:
     """Ordered record of operations for one reverse-mode sweep.
 
     Operations append records in execution order, so inputs always precede the
-    records that consume them; ``backward`` walks the records exactly once in
-    reverse, and may run only once per tape.
+    records that consume them; ``backward`` takes the records off the tape in
+    reverse, so each one, with the arrays only it holds, goes once its backward
+    has run. It may run only once per tape, and a replayed tape holds no
+    record.
     """
 
     _stack: list["Tape"] = []
 
     def __init__(self):
         self._records: list[tuple[Tensor, BackwardFn]] = []
-        self._outputs: set[int] = set()
         self._replayed = False
 
     def __enter__(self) -> "Tape":
@@ -130,7 +132,6 @@ class Tape:
 
     def record(self, output: Tensor, backward_fn: BackwardFn) -> None:
         self._records.append((output, backward_fn))
-        self._outputs.add(id(output))
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from loss.
@@ -150,13 +151,14 @@ class Tape:
             raise ValueError("this tape has already run its backward; record a new tape")
         if loss.data.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if id(loss) not in self._outputs:
+        if not any(output is loss for output, _ in self._records):
             raise ValueError("loss was not produced under this tape")
         self._replayed = True
 
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float32)}
         holders: dict[int, Tensor] = {id(loss): loss}
-        for output, backward_fn in reversed(self._records):
+        while self._records:
+            output, backward_fn = self._records.pop()
             # The gradient a record is handed is held by nothing else: a fresh
             # GEMM result or sum, or an array one op passed on whole or as a
             # view (no op passes one array to two inputs). So a recorded

@@ -252,11 +252,6 @@ def run_epoch(config: TrainConfig, model: Model, run: TrainResult, dataset) -> N
             sgd_step(param.data, param.grad, buffer, lr_t, config.momentum, config.weight_decay)
             param.grad = None
         loss_sum += loss.item() * len(idx)
-        # The thresholded weights keep no gradient, and each parameter's goes
-        # once SGD has read it. The step's graph (its tape with the arrays
-        # each layer's backward reads) goes here, so the next step's
-        # threshold pass finds none of it alive.
-        del tape, overrides, logits, loss
 
     val_top1 = evaluate_top1(model, dataset.val_x, dataset.val_y, config.batch_size,
                              {state.name: feather_forward(state) for state in states})

@@ -697,19 +697,40 @@ class TestSweep:
          "axis 'train.epochs' lists '2' more than once (also as '02')"),
         (["prune.final_sparsity=0.5", "prune.final_sparsity=0.7"], "0",
          "--axis 'prune.final_sparsity' is given more than once"),
+        (["prune.theta=,"], "0", "axis 'prune.theta' lists no values"),
+        (["prune.final_sparsity=0.5"], ",", "sweep needs at least one seed"),
+        (["run.label=a__dataset-images_b,a", "dataset.images=c,b__dataset-images_c"], "0",
+         "cells ('a__dataset-images_b', 'c') and ('a', 'b__dataset-images_c') would share "
+         "the directory 'run-label_a__dataset-images_b__dataset-images_c'"),
     ], ids=["seed", "axis value", "axis value spelled twice", "axis int spelled twice",
-            "axis key"])
+            "axis key", "axis without values", "no seed", "cells sharing a directory"])
     def test_repeated_seed_or_axis_value_is_config_error(self, tmp_path, capsys, axes, seeds,
                                                          message):
         # a repeated seed or value runs one cell twice into one directory (or,
         # spelled two ways, into two directories); a repeated key runs only
-        # its last value under a row naming both
+        # its last value under a row naming both; two cells whose directory
+        # names meet would write one run over the other
         axis_args = [arg for axis in axes for arg in ("--axis", axis)]
         code = main(["sweep", "--out", str(tmp_path / "s"), *BASE, *axis_args,
                      "--seeds", seeds])
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_each_cell_is_one_directory_inside_out(self, tmp_path):
+        # a value is pasted into the cell's name with "%" and "/" encoded: a
+        # path in it names no other directory, and a value spelled like an
+        # encoded one gets a directory of its own
+        out = tmp_path / "a" / "b" / "sw"
+        assert main(["sweep", "--out", str(out), *BASE, "--axis",
+                     "run.label=../../../evil,x/../../../evil,a/b,a%2Fb", "--seeds", "0"]) == 0
+        written = {p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()}
+        assert {p.parts[:3] for p in written} == {("a", "b", "sw")}
+        cells = ["run-label_..%2F..%2F..%2Fevil", "run-label_x%2F..%2F..%2F..%2Fevil",
+                 "run-label_a%2Fb", "run-label_a%252Fb"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(cells + ["sweep.csv"])
+        for cell in cells:
+            assert (out / cell / "seed0" / "final.fthr").exists()
 
     @pytest.mark.parametrize("axis,message", [
         ("train.epoch=2,3", "unknown config key 'train.epoch'"),

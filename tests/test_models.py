@@ -58,8 +58,9 @@ def plain_step(model, x, labels):
     """One training step without feather overrides; returns its record count."""
     with Tape() as tape:
         loss = softmax_cross_entropy(model.forward(x), labels)
+        records = len(tape._records)
         tape.backward(loss)
-    return len(tape._records)
+    return records
 
 
 @pytest.mark.parametrize("build,input_shape,records", [

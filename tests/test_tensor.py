@@ -102,6 +102,29 @@ class TestTapeMechanics:
         assert a.grad.tobytes() == first_a.tobytes()
         assert w.grad.tobytes() == first_w.tobytes()
 
+    def test_replay_lets_go_of_each_record_before_the_earlier_ones_run(self):
+        """An array that only a later record holds (here the matmul's weight,
+        kept for its input's gradient) is gone by the time an earlier record's
+        backward runs, and a replayed tape holds no record."""
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        v = Tensor(np.full((3, 1), 2.0))
+        held = weakref.ref(v.data)
+        seen = []
+
+        def probe_backward(g):
+            seen.append(held() is None)
+            return [(w, g)]
+
+        with Tape() as tape:
+            h = _emit(w.data.copy(), (w,), probe_backward, "probe")
+            loss = sum_all(matmul(h, v))
+            del v
+            assert held() is not None
+            tape.backward(loss)
+        assert seen == [True]
+        assert tape._records == []
+        np.testing.assert_array_equal(w.grad, np.full((2, 3), 2.0))
+
     def test_backwards_of_two_tapes_accumulate(self):
         a = Tensor(np.ones((1, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 1)), requires_grad=True)
@@ -664,6 +687,23 @@ class TestMatmulBlasThreads:
 
         assert run(1) == run(2)
 
+    def test_without_openblas_the_products_are_plain(self, monkeypatch):
+        # numpy on another BLAS: no thread handle is found, so the one-thread
+        # GEMMs are plain ``a @ b`` and set no thread count
+        monkeypatch.setattr(tensor, "_openblas", lambda: None)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((48, 784)).astype(np.float32)
+        b = rng.standard_normal((784, 10)).astype(np.float32)
+        assert _one_thread_matmul(a, b).tobytes() == (a @ b).tobytes()
+        x, w = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = matmul(x, w)
+            tape.backward(sum_all(out))
+        ones = np.ones((48, 10), np.float32)
+        assert out.data.tobytes() == (a @ b).tobytes()
+        assert x.grad.tobytes() == (ones @ b.T).tobytes()
+        assert w.grad.tobytes() == (a.T @ ones).tobytes()
+
 
 def test_cnn_train_bits_do_not_depend_on_the_thread_count(openblas, tmp_path):
     # batch 128 over 28x28 images: conv2 gives fc0 784 features, the shape at
@@ -898,9 +938,10 @@ class TestGradientsOwnTheirMemory:
         with Tape() as tape:
             logits = model.forward(Tensor(x), overrides)
             loss = softmax_cross_entropy(logits, np.arange(len(x)) % logits.shape[1])
+            outputs = [out for out, _ in tape._records]
             tape.backward(loss)
         leaves = list(overrides.values()) + [layer.bias for layer in model.layers]
-        return [out for out, _ in tape._records], leaves
+        return outputs, leaves
 
     def assert_leaves_only(self, outputs, leaves):
         assert outputs and all(t.grad is None for t in outputs)
@@ -932,8 +973,9 @@ class TestGradientsOwnTheirMemory:
             h = add_bias(x, b)
             r = reshape(h, (2, 4))
             loss = sum_all(add_bias(flatten(r), c))
+            outputs = [out for out, _ in tape._records]
             tape.backward(loss)
-        self.assert_leaves_only([out for out, _ in tape._records], [x, b, c])
+        self.assert_leaves_only(outputs, [x, b, c])
         np.testing.assert_array_equal(x.grad, np.ones((2, 2, 2, 1)))
 
     def test_leaves_handed_the_same_array_get_disjoint_grads(self):

@@ -4,13 +4,20 @@ Expected values for the power-law operator were frozen from a 30-digit
 mpmath evaluation of (|w|^p - T^p)^(1/p), independent of the implementation.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import featherprune
 import oracles
+from cpu_features import enabled_dispatch_features
 from featherprune.errors import NonFiniteError
 from featherprune.thresholding import (
     POWER_BLOCK,
@@ -339,6 +346,41 @@ class TestChunkedSurvivorIndex:
         assert int(want_mask.sum()) == survivors
         assert pruned.tobytes() == want.tobytes()
         assert mask.tobytes() == want_mask.tobytes()
+
+
+# Prints apply_threshold's bytes for p = 3 and 1.5, each at a sparse and a
+# dense threshold on one seeded matrix, as one hex digest per result.
+_DISPATCH_PROBE = """
+import hashlib
+import numpy as np
+from featherprune.thresholding import ThresholdOperator, apply_threshold, select_threshold
+w = np.random.default_rng(3).standard_normal((512, 1024)).astype(np.float32)
+for p in (3.0, 1.5):
+    for sparsity in (0.98, 0.1):
+        t = select_threshold(np.abs(w), sparsity)
+        pruned, mask = apply_threshold(w, t, ThresholdOperator.power(p))
+        print(p, sparsity, hashlib.sha256(pruned.tobytes() + mask.tobytes()).hexdigest())
+"""
+
+
+def test_power_p_bytes_do_not_depend_on_numpy_simd_dispatch():
+    # The float64 chain rounds to the same float32 under numpy's dispatched
+    # SIMD loops and its baseline ones, so thresholding does not move a run's
+    # bits across CPUs; softmax's float32 exp and log do.
+    features = enabled_dispatch_features()
+    if not features:
+        pytest.skip("numpy dispatches no SIMD loop on this CPU")
+    src = str(Path(featherprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(features)}):
+        result = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE], capture_output=True,
+                                text=True, timeout=120, env={**env, **disabled})
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
 
 
 class TestPreallocatedBlocks:

@@ -304,6 +304,20 @@ class TestTrainLoop:
         assert info.value.batch >= 0
         assert "fc0" in info.value.layer_norms
 
+    def test_dense_divergence_reports_location(self):
+        model = small_model()
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingDivergedError) as info:
+                train_dense(small_config(epochs=3, lr=1e8), model, small_dataset())
+            # the norms of the weights the failing step ran on
+            norms = {layer.name: float(np.linalg.norm(layer.weight.data))
+                     for layer in model.layers}
+        error = info.value
+        assert error.epoch == 0 and error.batch >= 1  # the first step is finite
+        assert error.layer_norms == norms
+        assert str(error).startswith(f"non-finite loss at epoch 0, batch {error.batch}; "
+                                     "layer norms: fc0=")
+
     def test_state_masks_match_final_weights(self):
         # returned thresholds reproduce the returned masks exactly
         from featherprune.thresholding import apply_threshold
