@@ -369,8 +369,33 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _import_numpy_random_without_openssl() -> None:
+    """Import ``numpy.random`` without mapping OpenSSL's libcrypto.
+
+    ``numpy.random`` imports ``secrets``, which imports ``hmac`` and
+    ``hashlib``, and those load ``_hashlib`` and with it libcrypto (about
+    3.5 MB of RSS) though no run hashes anything. Each falls back to the
+    interpreter's own digests and ``compare_digest`` when ``_hashlib`` cannot
+    be imported, so it is blocked for this one import. The modules that import added are
+    then forgotten, so a later ``import hashlib`` gets the OpenSSL-backed
+    one. Call it only while the process runs one thread, as ``main`` does
+    first thing; a process that has loaded ``_hashlib`` already is left as
+    it is.
+    """
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return
+    added = [name for name in ("_hashlib", "hashlib", "hmac") if name not in sys.modules]
+    sys.modules["_hashlib"] = None
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
+    _import_numpy_random_without_openssl()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,9 @@ array and one record. ``add_bias`` and ``relu`` remain public building blocks.
 
 A record keeps only the arrays its own backward reads: an operand only when a
 gradient that reads it is wanted, and, for a ReLU, the op's output, whose
-positive entries are the ReLU's mask. So nothing may write into an op output's
+positive entries are the ReLU's mask, until the record replays. The record
+then lets go of the output and applies the mask to the incoming gradient in
+place, so no masked copy of it is made. Nothing may write into an op output's
 ``data`` before the backward that reads it has run.
 
 Gradients are recorded on an explicit :class:`Tape`: each operation executed
@@ -24,8 +26,9 @@ every ``requires_grad`` leaf reachable from the loss. Op outputs pass their
 gradient on without keeping it. A tape replays only once and lets go of each
 record as it replays it, so the arrays only that record's backward holds go
 as soon as it has run, and a recorded backward may drop what it has read
-sooner still, as ``conv2d``'s does with its columns; gradients from separate
-tapes still add up in each leaf's ``grad``.
+sooner still, as ``conv2d``'s does with its columns and a fused ReLU's with
+the op's output; gradients from separate tapes still add up in each leaf's
+``grad``.
 """
 
 from __future__ import annotations
@@ -159,12 +162,16 @@ class Tape:
         holders: dict[int, Tensor] = {id(loss): loss}
         while self._records:
             output, backward_fn = self._records.pop()
+            # Only the output's id is kept while its record replays, so a
+            # recorded backward may let go of the output's array.
+            key = id(output)
+            del output
             # The gradient a record is handed is held by nothing else: a fresh
             # GEMM result or sum, or an array one op passed on whole or as a
             # view (no op passes one array to two inputs). So a recorded
-            # backward may write into it, as feather_forward's does.
-            g = flowing.pop(id(output), None)
-            holders.pop(id(output), None)
+            # backward may write into it, as feather_forward's and a ReLU's do.
+            g = flowing.pop(key, None)
+            holders.pop(key, None)
             if g is None:
                 continue
             for tensor, contribution in backward_fn(g):
@@ -174,6 +181,9 @@ class Tape:
                 else:
                     flowing[key] = contribution
                     holders[key] = tensor
+            # nor does this frame pin the last target and its gradient while
+            # the next record's backward runs
+            tensor = contribution = None
 
         # Whatever remains are leaves (tensors never produced by a record).
         # Their gradients are fresh arrays except where an op passed the
@@ -201,21 +211,28 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: BackwardFn, o
           relu: bool = False) -> Tensor:
     """Wrap an op's output, recording it when a tape is active and an input
     requires a gradient. With ``relu`` the output, which must be the op's own
-    array, is clamped at zero in place after the finite check, and the
-    recorded backward is called with that clamped array as its ``out``
-    argument. Its positive entries are exactly the pre-activation's, so the
-    backward takes the ReLU mask as ``out > 0`` and no mask is stored. The
-    output therefore must not be written to before the backward runs."""
+    array, is clamped at zero in place after the finite check. Its positive
+    entries are exactly the pre-activation's, so the record holds the clamped
+    output, and no mask, until it replays: it then lets go of the output,
+    masks the incoming gradient in place with ``out > 0`` and hands that same
+    array to ``backward_fn``. The output therefore must not be written to
+    before the record replays."""
     data = np.asarray(data, dtype=np.float32)
     _check_finite(data, op_name)
     tape = Tape.current()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
     if relu:
         np.maximum(data, np.float32(0.0), out=data)
-        if needs_grad:
-            backward_fn = functools.partial(backward_fn, out=data)
     out = Tensor(data, requires_grad=needs_grad)
     if needs_grad:
+        if relu:
+            held = [data]
+            op_backward = backward_fn
+
+            def backward_fn(g: np.ndarray):
+                np.multiply(g, held.pop() > 0, out=g)
+                return op_backward(g)
+
         tape.record(out, backward_fn)
     return out
 
@@ -279,9 +296,7 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None, relu: bool = 
     a_data = a.data if need_b else None
     b_data = b.data if need_a else None
 
-    def backward_fn(g: np.ndarray, out: Optional[np.ndarray] = None):
-        if out is not None:
-            g = g * (out > 0)
+    def backward_fn(g: np.ndarray):
         grads = []
         if need_a:
             grads.append(gemm(g, b_data.T))
@@ -509,10 +524,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     if not need_x:
         k_mat = None
 
-    def backward_fn(g: np.ndarray, out: Optional[np.ndarray] = None):
+    def backward_fn(g: np.ndarray):
         nonlocal cols
-        if out is not None:
-            g = g * (out > 0)
         db = g.sum(axis=(0, 2, 3)) if need_bias else None
         g_mat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, f)
         del g

@@ -4,6 +4,7 @@ Runs go through main(argv) in-process so exit codes and stderr are cheap to
 assert; one test exercises the installed console script for real.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -808,6 +809,36 @@ class TestExitCodes:
         # when the model is built
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the address-space limit is enforced on Linux")
+    def test_size_one_value_past_the_bound_is_two(self, tmp_path):
+        # samples x dims is one value more than the float64 array numpy
+        # accepts. The child limits its own address space, so a bound that let
+        # this through fails fast on its first large allocation instead of
+        # taking the machine's memory.
+        values = sys.maxsize // 8 + 1
+        dims = 1 << 14
+        samples = values // dims
+        assert samples * dims == values
+        code = ("import resource, sys\n"
+                "from featherprune.cli import main\n"
+                "with open('/proc/self/statm') as statm:\n"
+                "    mapped = int(statm.read().split()[0]) * resource.getpagesize()\n"
+                "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                "soft = mapped + (1 << 30)\n"
+                "if hard != resource.RLIM_INFINITY:\n"
+                "    soft = min(soft, hard)\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+                "sys.exit(main(sys.argv[1:]))")
+        result = subprocess.run(
+            [sys.executable, "-c", code, "train", "--out", str(tmp_path / "run"), *BASE,
+             "--set", f"dataset.samples={samples}", "--set", f"dataset.dims={dims}"],
+            capture_output=True, text=True, timeout=60, env=_env_with_package())
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(
+            f"config error: dataset.samples and dataset.dims: a {samples} x {dims} array")
+        assert not (tmp_path / "run").exists()
+
     def test_unreadable_idx_is_one_and_leaves_no_run_directory(self, tmp_path, capsys):
         args = idx_cnn_args(tmp_path)
         (tmp_path / "imgs.idx").write_bytes(b"\x00\x00\x08\x01" + bytes(12))  # label magic
@@ -935,15 +966,26 @@ def test_console_script_end_to_end(tmp_path):
 
 def test_import_loads_neither_hashlib_nor_multiprocessing(tmp_path):
     # OpenSSL behind hashlib and the process pool are megabytes of every
-    # featherprune process; only a sweep that starts a pool needs the latter
-    code = ("import sys, featherprune, featherprune.cli\n"
+    # featherprune process; only a sweep that starts a pool needs the latter.
+    # A train run draws from numpy.random, whose import would load OpenSSL
+    # through secrets; a later import of hashlib still gets OpenSSL's.
+    code = ("import os, sys, featherprune, featherprune.cli\n"
             "with featherprune.checkpoint.atomic_open(sys.argv[1]) as fh:\n"
             "    fh.write(b'x')\n"
-            "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "artifact")],
+            "print(sorted({'hashlib', 'multiprocessing'} & set(sys.modules)))\n"
+            "assert featherprune.cli.main(['train', '--out', sys.argv[2], *sys.argv[3:]]) == 0\n"
+            "print(sorted({'_hashlib', 'multiprocessing'} & set(sys.modules)))\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        assert 'libcrypto' not in maps.read()\n"
+            "import hashlib\n"
+            "print(hashlib.sha256.__name__)")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "artifact"),
+                             str(tmp_path / "run"), *BASE],
                             capture_output=True, text=True, timeout=60, env=_env_with_package())
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[0] == "[]"
+    assert result.stdout.splitlines()[-2:] == ["[]", hashlib.sha256.__name__]
 
 
 def _is_glibc():

@@ -89,6 +89,22 @@ def test_cnn_step_peak_at_batch_128():
     assert peak <= 7.5 * 2**20
 
 
+def test_cnn_step_peak_with_the_relu_masks_applied_in_place():
+    """A fused ReLU masks its incoming gradient in place and its record lets
+    go of the op's output before the op's own backward runs, so neither a
+    masked gradient copy nor conv2's output sits beside conv2's column
+    gradient (5.005 MiB when they did; 4.622 MiB without them)."""
+    model = build_cnn((1, 28, 28), 10, init_rng(0))
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.random((128, 1, 28, 28)))
+    labels = rng.integers(0, 10, 128)
+    plain_step(model, x, labels)  # builds the cached im2col indices
+    for param in model.parameters():
+        param.grad = None
+    _, peak = peak_bytes(plain_step, model, x, labels)
+    assert peak <= 4.8 * 2**20, f"peak {peak / 2**20:.3f} MiB"
+
+
 def decoding_step(model, pixels, labels):
     """One training step shaped as ``trainer.train`` runs it: the uint8
     batch is decoded inside the step, so only the step's graph can keep the

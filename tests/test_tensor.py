@@ -738,8 +738,9 @@ def test_cnn_train_bits_do_not_depend_on_the_thread_count(openblas, tmp_path):
 
 
 def pull(out: Tensor, g: np.ndarray) -> Tensor:
-    """A scalar whose recorded backward hands ``g`` to ``out`` as it is."""
-    return _emit(np.float32(0.0), (out,), lambda _: [(out, g)], "pull")
+    """A scalar whose recorded backward hands a copy of ``g`` to ``out``: a
+    record may write into the gradient it is handed, and callers reuse ``g``."""
+    return _emit(np.float32(0.0), (out,), lambda _: [(out, g.copy())], "pull")
 
 
 class TestFusedLayerOp:
@@ -864,21 +865,24 @@ class TestReluEdgeValues:
 
     def test_clamped_output_masks_like_the_pre_activation(self):
         """-0.0 cannot reach the clamp through a GEMM, so ``_emit`` is fed it
-        directly: the mask its backward reads is ``pre > 0``, and the output
-        is the composed ``relu``'s, bit for bit."""
+        directly: the op's backward is handed the incoming gradient array
+        itself, masked in place with ``pre > 0``, and the output is the
+        composed ``relu``'s, bit for bit."""
         pre = np.concatenate([RELU_EDGES, np.float32([1.5, -2.5])])
         x = Tensor(np.zeros_like(pre), requires_grad=True)
+        incoming = np.ones_like(pre)
         seen = []
 
-        def backward_fn(g, out):
-            seen.append(out > 0)
+        def backward_fn(g):
+            seen.append(g)
             return []
 
         with Tape() as tape:
             out = _emit(pre.copy(), (x,), backward_fn, "edge", relu=True)
-            tape._records[-1][1](np.ones_like(pre))
+            tape._records[-1][1](incoming)
         assert out.data.tobytes() == relu_op(Tensor(pre)).data.tobytes()
-        np.testing.assert_array_equal(seen[0], pre > 0)
+        assert len(seen) == 1 and seen[0] is incoming
+        np.testing.assert_array_equal(incoming, pre > 0)
 
 
 class TestRecordsKeepWhatTheirBackwardReads:
@@ -913,6 +917,31 @@ class TestRecordsKeepWhatTheirBackwardReads:
                 tape.backward(loss)
             grads.append(w.grad.tobytes())
         assert grads[0] == grads[1]
+
+    def test_relu_output_is_dead_while_its_own_backward_runs(self, monkeypatch):
+        """A fused ReLU's record lets go of its output before the op's own
+        backward runs, and the tape pins neither it nor the flatten record's
+        target (the same array) while that backward runs: conv2d's backward
+        GEMMs run with the output gone."""
+        rng = np.random.default_rng(0)
+        x, k, b, w = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in ((2, 3, 6, 6), (4, 3, 3, 3), 4, (4 * 6 * 6, 5)))
+        seen = []
+
+        def probe(a, m):
+            seen.append(held() is None)
+            return _one_thread_matmul(a, m)
+
+        with Tape() as tape:
+            h = conv2d(x, k, padding=1, bias=b, relu=True)
+            held = weakref.ref(h.data)
+            loss = sum_all(matmul(flatten(h), w))
+            del h
+            # the matmul record looked up its GEMM in the forward, so only
+            # conv2d's backward GEMMs reach the probe
+            monkeypatch.setattr(tensor, "_one_thread_matmul", probe)
+            tape.backward(loss)
+        assert seen == [True, True]
 
     def test_add_bias_input_is_not_held(self):
         x = Tensor(np.random.default_rng(0).standard_normal((5, 4)))

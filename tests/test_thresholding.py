@@ -297,19 +297,25 @@ class TestSurvivorOnlyPowerP:
         for p in (3.0, 8.0):
             self.assert_matches_full_matrix(w, t, p)
 
-    @pytest.mark.parametrize("sparsity", [0.01, 0.27, 0.5])
-    def test_float64_working_set_is_one_block(self, sparsity):
-        # fc0 of the 784-300-100-10 MLP. Beyond the per-entry arrays (|w|, the
-        # mask, the result), the float64 steps and the int64 survivor index
-        # may hold two blocks, however many entries survive; evaluating all
-        # the survivors at once fails this from S=0.27 down, and an index over
-        # all of them (8 bytes each) at every sparsity here.
-        w = np.random.default_rng(0).standard_normal((784, 300)).astype(np.float32)
+    @pytest.mark.parametrize("shape,sparsity", [((784, 300), 0.01), ((784, 300), 0.27),
+                                                ((784, 300), 0.5), ((100, 10), 0.01)],
+                             ids=["0.01", "0.27", "0.5", "fc2-0.01"])
+    def test_float64_working_set_is_one_block(self, shape, sparsity):
+        # fc0 and fc2 of the 784-300-100-10 MLP. |w| is gone before the
+        # survivors are evaluated, so beyond the result and the mask only one
+        # block's arrays are held, a block being min(survivors, POWER_BLOCK)
+        # entries: two float64 buffers, the int64 survivor index and three
+        # float32 temporaries (the gathered weights, their cast values, the
+        # signed result), 36 bytes an entry, plus a few array headers.
+        # Evaluating all the survivors at once fails this from S=0.27 down,
+        # an index over all of them at every fc0 sparsity here, and buffers
+        # sized at POWER_BLOCK for fc2's 990 survivors.
+        w = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
         t = float(np.quantile(np.abs(w), sparsity))
         apply_threshold(w, t, P3)  # numpy's one-off first-call allocations
         (pruned, mask), peak = peak_bytes(apply_threshold, w, t, P3)
-        per_entry = pruned.nbytes + mask.nbytes + np.abs(w).nbytes
-        assert peak <= per_entry + 2 * 8 * POWER_BLOCK
+        block = min(np.count_nonzero(mask), POWER_BLOCK)
+        assert peak <= pruned.nbytes + mask.nbytes + 36 * block + 8 * 2**10
 
 
 class TestChunkedSurvivorIndex:
